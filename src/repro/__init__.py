@@ -62,9 +62,9 @@ Quick start::
 
 Every entry point shares the keyword surface ``(graph, *, eps/k, seed,
 policy, max_rounds, observe, trace, profile, execution)`` and returns a
-:class:`MatchingResult` (``tracer=`` still works, deprecated; so do the
-lower-level ``engine=``/``shards=`` Network keywords, which normalize
-into an :class:`~repro.congest.execution.ExecutionPlan`).
+:class:`MatchingResult` (``tracer=`` still works, deprecated).
+``execution=`` takes a tier name or an
+:class:`~repro.models.execution.ExecutionPlan`.
 """
 
 from .core import (
@@ -93,7 +93,7 @@ from .graphs import BipartiteGraph, Graph
 from .matching import Matching
 from .stream import EdgeUpdate, MatchingService, StreamResult
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ALGORITHMS",

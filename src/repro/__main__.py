@@ -34,11 +34,27 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from .core.api import ALGORITHMS, approx_mcm, approx_mwm, run as run_algorithm
 from .experiments.suite import ALL_EXPERIMENTS
 from .graphs.graph import Graph
 from .graphs.io import read_edge_list
+from .models.base import CONGEST_MODEL, MPC_MODEL, ComputationModel
+from .models.execution import MPC_TIERS, TIERS, ExecutionPlan
+
+
+def _execution_error(tier: Optional[str],
+                     model: ComputationModel) -> Optional[str]:
+    """The one-line reason ``--execution tier`` cannot run on ``model``,
+    or None when it can (or was not given)."""
+    if tier is None:
+        return None
+    try:
+        model.check_plan(ExecutionPlan(tier=tier))
+    except ValueError as exc:
+        return f"--execution: {exc}"
+    return None
 
 
 def _load_graph(spec: str, seed: int) -> Graph:
@@ -170,6 +186,10 @@ def _cmd_mpc(args: argparse.Namespace) -> int:
     from .core.api import mpc_maximal_matching
     from .mpc import MemoryExceeded
 
+    error = _execution_error(args.execution, MPC_MODEL)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     graph = _load_graph(args.graph, args.seed)
     if args.explain:
         from .mpc import MPCCluster
@@ -259,6 +279,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from .stream.service import MatchingService
     from .stream.workload import load_updates, save_updates
 
+    error = _execution_error(args.execution, CONGEST_MODEL)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     if args.replay:
         graph = (_load_graph(args.graph, args.seed)
                  if args.graph is not None else None)
@@ -393,9 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="memory exponent: S = ceil(n^alpha) words per "
                           "machine (default 0.5)")
     mpc.add_argument("--seed", type=int, default=0)
+    congest_only = [t for t in TIERS if t not in MPC_TIERS]
     mpc.add_argument("--execution", default=None, metavar="TIER",
-                     help="execution plan tier (MPC accepts auto or node; "
-                          "kernel/sharded tiers are CONGEST-only)")
+                     help=f"execution plan tier: auto, "
+                          f"{', '.join(MPC_TIERS)} (the "
+                          f"{', '.join(congest_only)} tiers are "
+                          f"CONGEST-only)")
     mpc.add_argument("--trace", metavar="PATH",
                      help="stream superstep/phase events to a JSONL trace")
     mpc.add_argument("--profile", action="store_true",
@@ -431,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="approximation slack (alternative to --k)")
     stream.add_argument("--seed", type=int, default=0)
     stream.add_argument("--execution", default=None, metavar="TIER",
-                        help="execution plan tier for recompute escalations "
-                             "(auto, kernel, sharded, ...)")
+                        help=f"execution plan tier for recompute "
+                             f"escalations: auto, {', '.join(TIERS)}")
     stream.add_argument("--spot-checks", type=int, default=4, metavar="N",
                         help="verify invariant + ratio N times (default 4; "
                              "0 disables)")

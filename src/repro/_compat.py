@@ -12,12 +12,6 @@ buys two things:
   reviewable change rather than drive-by drift; and
 * an inventory: ``SHIM_MESSAGES`` *is* the list of compatibility
   surfaces still alive, which is what a future major release deletes.
-
-The legacy ``engine=``/``shards=`` keywords are a deprecation shim too,
-but a silent one (they normalize through
-:meth:`repro.models.execution.ExecutionPlan.from_legacy` without
-warning, golden-pinned there); the test module covers that mapping
-alongside the warning shims.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ pattern, same ``loss``/``dropped`` attributes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from .._compat import warn_deprecated
 from ..graphs.graph import Graph
@@ -41,10 +41,10 @@ class LossyNetwork(Network):
     def __init__(self, graph: Graph, loss: float,
                  policy: BandwidthPolicy = CONGEST, seed: int = 0,
                  tracer: Optional[Tracer] = None,
-                 engine: Optional[str] = None) -> None:
+                 execution: Any = None) -> None:
         warn_deprecated("lossy_network", stacklevel=2)
         super().__init__(graph, policy=policy, seed=seed, tracer=tracer,
-                         engine=engine, faults=FaultSpec(loss=loss))
+                         execution=execution, faults=FaultSpec(loss=loss))
 
     @property
     def loss(self) -> float:

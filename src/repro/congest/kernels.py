@@ -23,8 +23,6 @@ kernel-tier gates):
 * the plan's tier must allow a kernel rung (``tier="node"`` runs batched
   delivery with per-node dispatch; ``tier="legacy"`` is the dict
   reference engine);
-* the plan must enable kernels and :data:`NO_KERNELS_ENV`
-  (``REPRO_NO_KERNELS=1``) must not disable them;
 * the run's node factory must be *exactly* a registered class — subclasses
   fall back to per-node dispatch, since they may override behavior;
 * no per-message observer may be subscribed (``bus.wants(MESSAGE_DELIVERED)``
@@ -35,9 +33,9 @@ kernel-tier gates):
 
 Kernels also power the **sharded** fast path: a kernel that declares
 ``shard_words > 0`` and implements the ``shard_*`` hooks runs *inside*
-shard worker processes (:mod:`repro.congest.sharding`, kernel mode),
-with a :class:`ShardContext` supplying worker-local staging, index
-translation and zero-copy halo record views in place of the Network.
+shard worker processes (:mod:`repro.congest.sharding`), with a
+:class:`ShardContext` supplying worker-local staging, index translation
+and zero-copy halo record views in place of the Network.
 
 numpy is optional: kernels use it for bulk array passes when importable and
 fall back to tight pure-python array code otherwise (``_np`` is the module
@@ -52,7 +50,6 @@ makes the streams bit-identical.
 
 from __future__ import annotations
 
-import os
 import random
 from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
@@ -64,16 +61,6 @@ except Exception:  # pragma: no cover - exercised via monkeypatch in tests
 
 from ..observe.events import ROUND_END, ROUND_START, RoundEnd, RoundStart
 from .network import Network, ProtocolError, RunResult
-
-#: Environment variable disabling kernel selection entirely
-#: (value ``1``/``true``/``yes``/``on``): every run takes the per-node path.
-NO_KERNELS_ENV = "REPRO_NO_KERNELS"
-
-
-def kernels_enabled() -> bool:
-    """False when :data:`NO_KERNELS_ENV` opts out of the fast path."""
-    flag = os.environ.get(NO_KERNELS_ENV, "").strip().lower()
-    return flag not in ("1", "true", "yes", "on")
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +387,16 @@ class RoundKernel:
     #: before someone has checked its node program against the contract.
     shardable: bool = False
     #: int64 words per halo record on the sharded-kernel fast path; 0
-    #: means the kernel has no shard hooks and sharded runs fall back to
-    #: per-node workers even when ``shardable`` is True.
+    #: means the kernel has no shard hooks and never runs sharded, even
+    #: when ``shardable`` is True.
     shard_words: int = 0
-    #: audit flag for the ``compiled`` tier: True promises this kernel's
-    #: draws go through :meth:`rng`'s random.Random surface (so the
-    #: compiled MT19937 facade can replace it bit-identically) and that
-    #: any :meth:`compiled_step` fast path is golden-equivalent to
-    #: :meth:`step`.  Like ``shardable``, it is declared per audited
-    #: kernel and never inherited.
-    compiled_audited: bool = False
 
     def __init__(self, net: Network) -> None:
         self.net = net
         self.arrays = csr_arrays(net)
         self._rngs: List[Optional[random.Random]] = [None] * self.arrays.n
-        #: True once :meth:`enable_compiled` swapped in the jitted tier
-        self.compiled = False
-        #: the :class:`ShardContext` when running inside a shard worker
-        #: (kernel mode), else None
+        #: the :class:`ShardContext` when running inside a shard worker,
+        #: else None
         self.shard: Optional[ShardContext] = None
         #: global order position of the node being processed — shard
         #: workers report it for first-error attribution (min phase/pos)
@@ -441,7 +419,6 @@ class RoundKernel:
         self.net = None
         self.arrays = ctx.arrays
         self._rngs = [None] * ctx.arrays.n
-        self.compiled = False
         self.shard = ctx
         self.shard_pos = 0
         self._node_rng = ctx.node_rng
@@ -454,44 +431,6 @@ class RoundKernel:
     def accepts(self) -> bool:
         """Last-chance veto: False sends this run down the per-node path."""
         return True
-
-    def compiled_why(self, shared: Dict[str, Any]) -> Optional[str]:
-        """Instance-level veto for the ``compiled`` tier (None = eligible).
-
-        Subclasses return a human-readable reason when this particular
-        run cannot take the jitted path (for example a value domain that
-        would overflow int64) — the resolution chain reports it and the
-        run falls to the next rung.
-        """
-        return None
-
-    def enable_compiled(self, prefix: Optional[int] = None) -> None:
-        """Swap this kernel onto the compiled tier before :meth:`setup`.
-
-        Replaces :meth:`rng` with views over a packed MT19937 pool seeded
-        from the same splitmix64 chain ``Network.node_rng`` uses — the
-        per-node byte streams are bit-identical, which is what keeps the
-        compiled tier golden.  ``prefix`` is the run's node-stream prefix;
-        in-process it is derived from the owning network, while shard
-        workers pass their replica's value explicitly.
-        """
-        from . import compiled as _compiled
-
-        if prefix is None:
-            net = self.net
-            prefix = net._node_stream_prefix(net.seed, net._run_counter, 0)
-        self._rng_pool = _compiled.RngPool(self.arrays.order, prefix)
-        self.rng = self._rng_pool.view  # type: ignore[method-assign]
-        self.compiled = True
-
-    def compiled_step(self, round_number: int) -> int:
-        """One round on the compiled tier; defaults to :meth:`step`.
-
-        With the MT-backed :meth:`rng` facade installed, the audited
-        :meth:`step` is already bit-identical on this tier; kernels
-        override this to run jitted bulk passes over packed state.
-        """
-        return self.step(round_number)
 
     def rng(self, i: int) -> random.Random:
         """Node index ``i``'s private stream (lazily created, persistent).
@@ -546,7 +485,7 @@ class RoundKernel:
     def outputs(self) -> Dict[int, Any]:
         raise NotImplementedError
 
-    # -- sharded fast path hooks (kernel mode of repro.congest.sharding) --
+    # -- sharded fast path hooks (run by repro.congest.sharding workers) --
     # A kernel opts in by setting ``shard_words`` and implementing these
     # four against ``self.shard`` (:class:`ShardContext`).  The audited
     # contract: identical outputs, rounds, Metrics, rng streams and error
@@ -591,7 +530,6 @@ class RoundKernel:
         self.setup(shared)
         bus = net.bus
         metrics = net.metrics
-        step = self.compiled_step if self.compiled else self.step
         rounds = 0
         while True:
             if not self.unfinished():
@@ -612,7 +550,7 @@ class RoundKernel:
                     msgs_before = metrics.messages
                     bits_before = metrics.total_bits
                     dropped_before = net.dropped
-            extra = step(rounds + 1)
+            extra = self.step(rounds + 1)
             rounds += 1
             metrics.record_round(protocol, extra)
             if want_round_end:

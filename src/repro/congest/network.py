@@ -11,19 +11,21 @@ metrics accumulate so composite costs are the true totals.
 
 Two delivery engines share one contract:
 
-* ``"csr"`` (the default) — a batched engine over a flat CSR adjacency
-  (:meth:`~repro.graphs.graph.Graph.to_csr`): broadcast expansion walks
-  precomputed neighbor rows, message pricing is memoized per bit-size, and
-  metrics are accumulated per round instead of per message.
-* ``"legacy"`` — the original per-message dict engine, kept for one release
-  behind ``REPRO_LEGACY_ENGINE=1`` (or ``engine="legacy"``) as the golden
-  reference.  Both engines produce bit-identical outputs, round counts and
-  metrics for the same seed; ``tests/test_engine_golden.py`` enforces it.
+* the batched CSR engine (every tier but ``legacy``) — delivery over a
+  flat CSR adjacency (:meth:`~repro.graphs.graph.Graph.to_csr`):
+  broadcast expansion walks precomputed neighbor rows, message pricing is
+  memoized per bit-size, and metrics are accumulated per round instead of
+  per message.
+* the original per-message dict engine, reachable only as
+  ``execution="legacy"`` and kept as the golden reference.  Both engines
+  produce bit-identical outputs, round counts and metrics for the same
+  seed; ``tests/test_engine_golden.py`` enforces it.
 
 On top of the CSR engine sits the *vectorized kernel* fast path
 (:mod:`repro.congest.kernels`): protocols that register a ``RoundKernel``
 execute whole rounds as array operations instead of per-node dispatch,
-again bit-identically (``tests/test_kernels.py``).  ``engine="node"``
+again bit-identically (``tests/test_kernels.py``), in-process or inside
+shard workers (:mod:`repro.congest.sharding`).  ``execution="node"``
 keeps batched delivery but opts out of kernels, and is therefore the
 per-node reference the kernel goldens compare against.
 
@@ -42,14 +44,13 @@ and the CSR layout); mutating the graph afterwards is not supported.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .._compat import warn_deprecated
 from ..graphs.graph import Graph
-from ..models.execution import ExecutionDecision, ExecutionPlan, resolve_execution
+from ..models.execution import ExecutionDecision, as_plan, resolve_execution
 from ..observe.events import (
     MESSAGE_DELIVERED,
     ROUND_END,
@@ -72,22 +73,12 @@ RoundHook = Callable[[int, "Network"], None]
 
 DEFAULT_MAX_ROUNDS = 100_000
 
-#: Environment variable that flips the default engine back to the
-#: pre-CSR dict implementation (value ``1``/``true``/``yes``/``on``).
-LEGACY_ENGINE_ENV = "REPRO_LEGACY_ENGINE"
-
 _UNSET = object()  # sentinel for untouched outbox slots in the mixed path
 
 #: Shared empty inbox handed to nodes with no mail this round (saves one
 #: dict allocation per silent node per round).  Node programs must treat
 #: their inbox as read-only; no program in this library mutates it.
 _EMPTY_INBOX: Dict[int, Any] = {}
-
-
-def default_engine() -> str:
-    """The engine a new :class:`Network` uses when none is requested."""
-    flag = os.environ.get(LEGACY_ENGINE_ENV, "").strip().lower()
-    return "legacy" if flag in ("1", "true", "yes", "on") else "csr"
 
 
 class ProtocolError(RuntimeError):
@@ -140,20 +131,16 @@ class Network:
     """A simulated synchronous network over a :class:`Graph`.
 
     ``execution`` selects how protocols run: an
-    :class:`~repro.congest.execution.ExecutionPlan` (or a tier name
+    :class:`~repro.models.execution.ExecutionPlan` (or a tier name
     shorthand like ``"node"``) naming the highest performance tier the
-    network may use — ``sharded-kernel``, ``kernel``, ``sharded``,
-    ``node`` or ``legacy``; the default plan (``tier="auto"``) engages
-    vectorized kernels whenever a protocol registers one and shard
-    workers on top when requested or when the auto rules fire.  Use
+    network may use — ``sharded-kernel``, ``kernel``, ``node`` or
+    ``legacy``; the default plan (``tier="auto"``) engages vectorized
+    kernels whenever a protocol registers one and shard workers on top
+    when requested or when the auto rules fire.  Use
     :meth:`explain_execution` to see how a plan resolves for a protocol.
 
-    The historical ``engine=`` (``"csr"``/``"node"``/``"legacy"``/
-    ``"sharded"``) and ``shards=`` keywords remain as deprecation shims;
-    they normalize into a plan via :meth:`ExecutionPlan.from_legacy`
-    with identical observable behavior.  ``max_rounds`` sets the default
-    round limit for every :meth:`run` on this network (individual calls
-    may still override it).
+    ``max_rounds`` sets the default round limit for every :meth:`run` on
+    this network (individual calls may still override it).
 
     ``observe`` attaches observability: an :class:`EventBus`, a single
     observer, or a list of observers (each subscribed with its own
@@ -165,11 +152,9 @@ class Network:
 
     def __init__(self, graph: Graph, policy: BandwidthPolicy = CONGEST,
                  seed: int = 0, tracer: Optional[Tracer] = None,
-                 engine: Optional[str] = None,
                  max_rounds: Optional[int] = None,
                  observe: Any = None,
                  faults: Optional[FaultSpec] = None,
-                 shards: Optional[int] = None,
                  execution: Any = None) -> None:
         self.graph = graph
         self.policy = policy
@@ -181,34 +166,14 @@ class Network:
         self.model = CONGEST_MODEL
         self.default_max_rounds = max_rounds
         self._run_counter = 0
-        if execution is not None:
-            if engine is not None or shards is not None:
-                raise ValueError(
-                    "pass either execution= or the legacy engine=/shards= "
-                    "keywords, not both")
-            if isinstance(execution, str):
-                plan = ExecutionPlan(tier=execution)
-            elif isinstance(execution, ExecutionPlan):
-                plan = execution
-            else:
-                raise TypeError(
-                    f"execution= wants an ExecutionPlan or a tier name, "
-                    f"got {type(execution).__name__}")
-        else:
-            plan = ExecutionPlan.from_legacy(
-                engine if engine is not None else default_engine(), shards)
+        plan = as_plan(execution)
         # fail fast on foreign rungs (e.g. 'mpc_kernel' belongs to the
         # MPC model's ladder, not CONGEST's)
         self.model.check_plan(plan)
-        #: the frozen :class:`~repro.congest.execution.ExecutionPlan`
+        #: the frozen :class:`~repro.models.execution.ExecutionPlan`
         #: every :meth:`run` resolves against
         self.execution_plan = plan
-        #: legacy engine vocabulary derived from the plan (delivery
-        #: branch + Subnetwork inheritance still read it)
-        self.engine = plan.engine_name()
-        #: explicit shard request from the plan (or the ``shards=`` shim);
-        #: resolution and eligibility live in :mod:`repro.congest.sharding`
-        self.requested_shards = plan.shards
+        self._dict_engine = plan.tier == "legacy"
         self._sharded_execs: Dict[int, Any] = {}
 
         # per-node random streams: splitmix64 spawn_seed chain by default,
@@ -351,20 +316,14 @@ class Network:
         self._live_boxes = []
 
         decision = resolve_execution(self, factory, shared)
-        if decision.tier in ("sharded", "sharded-kernel"):
-            executor = self._sharded_executor(decision.shards)
-            kernel_cls = (decision.kernel_cls
-                          if decision.tier == "sharded-kernel" else None)
-            result = executor.execute(factory, protocol, shared, limit,
-                                      on_round_end, kernel_cls=kernel_cls)
-            result.metrics = self.metrics.delta_since(before)
-            return self._attach_profile(result)
-
-        if decision.tier in ("kernel", "compiled"):
-            if decision.tier == "compiled":
-                decision.kernel.enable_compiled()
-            result = decision.kernel.execute(protocol, shared, limit,
-                                             on_round_end)
+        if decision.tier in ("sharded-kernel", "kernel"):
+            if decision.tier == "sharded-kernel":
+                executor = self._sharded_executor(decision.shards)
+                result = executor.execute(decision.kernel_cls, protocol,
+                                          shared, limit, on_round_end)
+            else:
+                result = decision.kernel.execute(protocol, shared, limit,
+                                                 on_round_end)
             result.metrics = self.metrics.delta_since(before)
             return self._attach_profile(result)
 
@@ -466,7 +425,7 @@ class Network:
                           ) -> ExecutionDecision:
         """How this network's plan resolves for a run of ``factory``.
 
-        Returns an :class:`~repro.congest.execution.ExecutionDecision`
+        Returns an :class:`~repro.models.execution.ExecutionDecision`
         whose ``tier``/``shards`` are the rung :meth:`run` would use and
         whose ``reasons`` chain explains, per considered tier, why it was
         or wasn't selected (``decision.explain()`` formats it).  Dry:
@@ -474,34 +433,6 @@ class Network:
         """
         return self.model.resolve(self, factory, dict(shared or {}),
                                   collect=True)
-
-    def _select_kernel(self, factory: NodeFactory) -> Optional[Any]:
-        """The :class:`~repro.congest.kernels.RoundKernel` instance to run
-        ``factory`` with, or None for per-node dispatch.
-
-        Compatibility shim over :func:`~repro.congest.execution.
-        resolve_execution` restricted to the single-process rungs; the
-        gate-by-gate logic lives there now.
-        """
-        decision = resolve_execution(self, factory, None, skip_sharding=True)
-        if decision.tier == "compiled":
-            decision.kernel.enable_compiled()
-            return decision.kernel
-        return decision.kernel if decision.tier == "kernel" else None
-
-    def _select_sharded(self, factory: NodeFactory,
-                        shared: Dict[str, Any]) -> Optional[Any]:
-        """The :class:`~repro.congest.sharding.ShardedNetwork` executor to
-        run ``factory`` with, or None for single-process execution.
-
-        Compatibility shim over :func:`~repro.congest.execution.
-        resolve_execution`: returns the (cached) executor when the plan
-        resolves to a sharded tier for this run.
-        """
-        decision = resolve_execution(self, factory, shared)
-        if decision.tier not in ("sharded", "sharded-kernel"):
-            return None
-        return self._sharded_executor(decision.shards)
 
     def _sharded_executor(self, k: int) -> Any:
         """The cached :class:`~repro.congest.sharding.ShardedNetwork` for
@@ -533,7 +464,7 @@ class Network:
     def subnetwork(self, graph: Graph, **kwargs: Any) -> Any:
         """Spawn a :class:`~repro.congest.runtime.Subnetwork` over ``graph``.
 
-        The child inherits this network's policy, engine, fault spec, event
+        The child inherits this network's policy, plan, fault spec, event
         bus (scoped under a ``PhaseStart``/``PhaseEnd`` pair) and seed
         stream, and folds its cost back into this network's metrics on
         exit — see :mod:`repro.congest.runtime` for the fold modes.
@@ -573,18 +504,18 @@ class Network:
                  protocol: str = "protocol", round_number: int = 0):
         """Expand broadcasts, price messages, and build inboxes.
 
-        Dispatch is engine-only — observers never change it: the batched
-        CSR engine always serves ``engine="csr"`` and the dict engine the
-        ``"legacy"`` opt-out.  Fault injection and event emission are
-        post-passes over the delivered inboxes, shared by both engines
-        (which is what makes their event streams identical).  Subclasses
-        that post-process delivery may still override this method and
-        delegate to ``super()``.
+        Dispatch is plan-only — observers never change it: the batched
+        CSR engine serves every tier but ``"legacy"``, which pins the
+        dict engine.  Fault injection and event emission are post-passes
+        over the delivered inboxes, shared by both engines (which is what
+        makes their event streams identical).  Subclasses that
+        post-process delivery may still override this method and delegate
+        to ``super()``.
         """
-        if self.engine != "legacy":
-            inboxes, extra = self._deliver_batched(outboxes, n)
-        else:
+        if self._dict_engine:
             inboxes, extra = self._deliver_dict(outboxes, n)
+        else:
+            inboxes, extra = self._deliver_batched(outboxes, n)
         if self._fault_rng is not None:
             self._apply_faults(inboxes)
         bus = self.bus
@@ -759,7 +690,7 @@ class Network:
         return inboxes, extra_rounds
 
     def _deliver_dict(self, outboxes: Dict[int, Dict[Any, Any]], n: int):
-        """The reference per-message engine (``engine="legacy"`` opt-out)."""
+        """The reference per-message engine (``execution="legacy"``)."""
         inboxes: Dict[int, Dict[int, Any]] = {}
         extra_rounds = 0
         # graph order instead of a per-round sort: node ids ascend by

@@ -4,46 +4,37 @@ Large networks are embarrassingly parallel *within* a round: every node's
 transition depends only on its own state and its inbox.  This module
 exploits that by partitioning the graph into ``k`` edge-cut shards
 (:func:`partition_graph`), pinning each shard to a persistent worker
-process, and running every superstep in parallel.  Only messages that
-cross the cut — the **halo** — are exchanged between workers, through
-``multiprocessing.shared_memory`` blocks with a compact binary codec
-(:func:`encode_payload`), so the per-round steady state never touches a
-pickle.  Pickling happens exactly twice per run: the ``(factory, shared)``
-dispatch at the start and the output gather at the end.
+process, and running every superstep in parallel — the ``sharded-kernel``
+execution tier.  Pickling happens exactly twice per run: the
+``(kernel, shared)`` dispatch at the start and the output gather at the
+end.
+
+Each worker executes its slice of a registered
+:class:`~repro.congest.kernels.RoundKernel`'s vectorized fast path over
+the full CSR snapshot (setup is replicated — per-node rng streams are
+independent, so every worker derives the identical global start state,
+then only advances the nodes it owns).  Only the effects that cross the
+cut — the **halo** — are exchanged between workers, as fixed-width int64
+*records* in ``multiprocessing.shared_memory`` blocks.  Peers map those
+records as numpy views built directly on the publisher's block —
+zero-copy, no per-round re-pack — and rare oversized integers overflow
+into a side-channel blob per segment, written with a compact binary codec
+(:func:`encode_payload`).  See :class:`~repro.congest.kernels.
+ShardContext` for the worker-side services and each kernel's ``shard_*``
+hooks for the per-protocol record layouts.
 
 The executor is **golden-equivalent** to the single-process engine:
 identical outputs, round counts, :class:`~repro.congest.metrics.Metrics`
 (physical account), per-node random streams, structural event stream
 (``RoundStart``/``RoundEnd``) and error behavior, enforced by
-``tests/test_sharding.py``.  Equivalence holds by construction rather
-than by re-derivation: each worker runs the *per-node* reference path
-(real :class:`~repro.congest.node.NodeAlgorithm` instances, engine-order
-delivery, sender-side pricing that replays ``_deliver_batched`` branch
-for branch), and the coordinator replays ``Network.run``'s loop — the
-same termination, quiescence and round-limit rules, the same metric
-recording points, the same event emission points.
-
-Workers serve one of two modes per dispatched run.  **Per-node mode**
-(the description above) replays the reference path with real node
-instances.  **Kernel mode** engages when the registered
-:class:`~repro.congest.kernels.RoundKernel` declares shard hooks
-(``shard_words > 0``): each worker executes its slice of the vectorized
-fast path over the full CSR snapshot (setup is replicated — per-node rng
-streams are independent, so every worker derives the identical global
-start state, then only advances the nodes it owns), and the halo
-carries fixed-width int64 *records* instead of codec-encoded messages.
-Peers map those records as numpy views built directly on the publisher's
-shared-memory block — zero-copy, no per-round re-pack or binary-codec
-round trip (rare oversized integers overflow into a codec side-channel
-blob per segment).  See :class:`~repro.congest.kernels.ShardContext`
-for the worker-side services and each kernel's ``shard_*`` hooks for
-the per-protocol record layouts.
+``tests/test_sharding.py``.  The coordinator replays ``Network.run``'s
+loop — the same termination, quiescence and round-limit rules, the same
+metric recording points, the same event emission points.
 
 Coordination protocol (one reusable cyclic barrier, ``k + 1`` parties)::
 
     per run:   dispatch(pipe) -> setup -> B0(sync)
-    per round: B1(command) -> deliver+publish -> B2(halo) ->
-               absorb+compute -> B3(stats)
+    per round: B1(command) -> publish -> B2(halo) -> apply -> B3(stats)
     finish:    B1 carries FINISH/ABORT; outputs (or the error) return
                over each worker's pipe.
 
@@ -55,16 +46,15 @@ Error equivalence: the engine raises the *first* error in global sender
 (or node) order.  Workers record their first error's phase and global
 order position; the coordinator takes the minimum over ``(phase, pos)``
 and re-raises the reconstructed exception — with the engine's exact
-message — while recording exactly what the engine would have recorded
-(nothing for a delivery-phase error; traffic and the round for a
-compute-phase error).
+message — while recording exactly what the in-process kernel would have
+recorded (nothing for a publish-phase error; the round's traffic, but
+not the round, for an apply-phase error).
 
 Shard safety is *declared*, not inferred: a protocol is eligible only
 when its node class has a registered :class:`~repro.congest.kernels.
-RoundKernel` whose ``shardable`` flag is True — the curated promise that
-the node program keeps all state node-local, never mutates ``shared``,
-and sends only plain-data payloads the halo codec can carry (None,
-bools, ints, floats, strings and nested tuples/lists/dicts/sets).
+RoundKernel` whose ``shardable`` flag is True and which implements the
+shard hooks (``shard_words > 0``) — the curated promise that the node
+program keeps all state node-local and never mutates ``shared``.
 """
 
 from __future__ import annotations
@@ -79,10 +69,6 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from . import compiled as _compiled
-from .message import payload_bits_fast
-from .node import BROADCAST, NodeContext
 
 #: Environment variable steering shard selection: unset/empty follows the
 #: constructor and auto rules; ``0``/``off`` disables sharding entirely
@@ -361,7 +347,7 @@ _CMD = 0
 _CTRL_WORDS = 1
 
 _S_STATUS = 0          # 0 ok, 1 error pending
-_S_ERR_PHASE = 1       # 0 factory, 1 start, 2 deliver, 3 compute
+_S_ERR_PHASE = 1       # 0 setup, 1 publish, 2 apply
 _S_ERR_POS = 2         # global order index of the erroring node
 _S_MESSAGES = 3
 _S_BITS = 4
@@ -372,14 +358,12 @@ _S_ANY_OUT = 8
 _S_ALL_PASSIVE = 9
 _S_ANY_UNFINISHED = 10
 _S_HALO_GEN = 11       # current generation of this worker's halo block
-_S_HALO_RECORDS = 12   # fixed-width records published (kernel mode only)
+_S_HALO_RECORDS = 12   # fixed-width records published this round
 _S_COLS = 13
 
-_PHASE_FACTORY, _PHASE_START, _PHASE_DELIVER, _PHASE_COMPUTE = 0, 1, 2, 3
+_PHASE_SETUP, _PHASE_PUBLISH, _PHASE_APPLY = 0, 1, 2
 
 _CMD_CONTINUE, _CMD_FINISH, _CMD_ABORT = 0, 1, 2
-
-_HEADER_WORDS_PER_SHARD = 1  # halo header: (k + 1) segment offsets
 
 
 def _attach_shm(name: str) -> shared_memory.SharedMemory:
@@ -419,15 +403,6 @@ class _WorkerSpec:
     timeout: float
 
 
-class _DeliveryFault(Exception):
-    """Internal: wraps the first per-sender error with its global position."""
-
-    def __init__(self, pos: int, error: BaseException) -> None:
-        super().__init__(pos)
-        self.pos = pos
-        self.error = error
-
-
 class _ShardWorker:
     """Per-process shard executor: owns one halo block and one stats row."""
 
@@ -435,34 +410,9 @@ class _ShardWorker:
         self.spec = spec
         self.w = spec.worker
         self.k = spec.k
-        csr = spec.csr
-        self.order = csr.order
-        self.n = len(csr.order)
         self.owner = spec.owner
-        self.policy = spec.policy
-        # static per-node adjacency, rebuilt once from the CSR snapshot
-        # (same construction as Network.__init__, restricted to owned rows
-        # for weights/slots; neighbor ids are global)
         self.my_indices: List[int] = [
-            i for i in range(self.n) if spec.owner[i] == self.w]
-        self.my_ids: List[int] = [csr.order[i] for i in self.my_indices]
-        self.nbrs: Dict[int, Tuple[int, ...]] = {}
-        self.weights: Dict[int, Dict[int, float]] = {}
-        self.slot_of: Dict[int, Dict[int, int]] = {}
-        order, indptr, indices, weights = (
-            csr.order, csr.indptr, csr.indices, csr.weights)
-        for i in self.my_indices:
-            v = order[i]
-            lo, hi = indptr[i], indptr[i + 1]
-            row = tuple(order[indices[e]] for e in range(lo, hi))
-            self.nbrs[v] = row
-            self.weights[v] = {u: weights[lo + off]
-                               for off, u in enumerate(row)}
-            self.slot_of[v] = {u: off for off, u in enumerate(row)}
-        self.owner_of_id: Dict[int, int] = {
-            order[i]: spec.owner[i] for i in range(self.n)}
-        self.pos_of_id: Dict[int, int] = {
-            v: i for i, v in enumerate(order)}
+            i for i, o in enumerate(spec.owner) if o == self.w]
         self._charge_cache: Dict[int, int] = {}
         from ..dist.random_tools import (
             node_seed_from_prefix,
@@ -483,8 +433,8 @@ class _ShardWorker:
             size=self.halo_cap)
         self.peer_halo: List[Optional[Tuple[int, Any]]] = [None] * self.k
         self._stat_base = _CTRL_WORDS + self.w * _S_COLS
-        # kernel-mode caches (built on first kernel dispatch, reused
-        # across runs; rebuilt if the numpy backend flips)
+        # kernel caches (built on first dispatch, reused across runs;
+        # rebuilt if the numpy backend flips)
         self._arrays: Optional[Any] = None
         self._kernel_ctx: Optional[Any] = None
 
@@ -500,96 +450,10 @@ class _ShardWorker:
             self._rng_prefix = (run_counter, prefix)
         return random.Random(self._node_seed_from_prefix(prefix, node_id))
 
-    def charge(self, bits: int, sender: int, receiver: int) -> int:
-        cache = self._charge_cache
-        charge = cache.get(bits, -1)
-        if charge < 0:
-            charge = self.policy.charge(bits, self.n, sender, receiver)
-            cache[bits] = charge
-        return charge
-
     def stat(self, col: int, value: int) -> None:
         self.words[self._stat_base + col] = value
 
-    def _publish_halo(self, staged: List[bytearray]) -> int:
-        """Write per-destination segments into my halo block; return bits."""
-        k = self.k
-        header = 8 * (k + 1)
-        total = sum(len(s) for s in staged)
-        need = header + total
-        if need > self.halo_cap:
-            new_cap = max(self.halo_cap * 2, need)
-            self.halo_gen += 1
-            fresh = shared_memory.SharedMemory(
-                name=_halo_name(self.spec.base, self.w, self.halo_gen),
-                create=True, size=new_cap)
-            # peers are never reading between the command and halo
-            # barriers, so the old generation can be retired immediately
-            # (existing mappings stay valid until they close it)
-            self.halo.unlink()
-            self.halo.close()
-            self.halo = fresh
-            self.halo_cap = new_cap
-        buf = self.halo.buf
-        offsets = memoryview(buf)[:header].cast("q")
-        pos = 0
-        offsets[0] = 0
-        for d in range(k):
-            segment = staged[d]
-            if segment:
-                buf[header + pos:header + pos + len(segment)] = segment
-                pos += len(segment)
-            offsets[d + 1] = pos
-        offsets.release()
-        self.stat(_S_HALO_GEN, self.halo_gen)
-        return 8 * total
-
-    def _absorb_halo(self, inboxes: Dict[int, Dict[int, Any]]) -> None:
-        """Merge peers' segments for me into ``inboxes``, engine order.
-
-        The engine inserts inbox entries in ascending global sender order;
-        local delivery preserved that for local senders, so any target
-        that also received remote mail gets its box rebuilt from the
-        sorted union.
-        """
-        remote: Dict[int, List[Tuple[int, Any]]] = {}
-        for p in range(self.k):
-            if p == self.w:
-                continue
-            gen = self.words[_CTRL_WORDS + p * _S_COLS + _S_HALO_GEN]
-            cached = self.peer_halo[p]
-            if cached is None or cached[0] != gen:
-                if cached is not None:
-                    cached[1].close()
-                shm = _attach_shm(_halo_name(self.spec.base, p, gen))
-                self.peer_halo[p] = (gen, shm)
-            else:
-                shm = cached[1]
-            buf = shm.buf
-            header = 8 * (self.k + 1)
-            offsets = memoryview(buf)[:header].cast("q")
-            lo, hi = offsets[self.w], offsets[self.w + 1]
-            offsets.release()
-            if lo == hi:
-                continue
-            view = memoryview(buf)[header + lo:header + hi]
-            pos = 0
-            end = hi - lo
-            while pos < end:
-                (sender,) = _unpack_q(view, pos)
-                (target,) = _unpack_q(view, pos + 8)
-                pos += 16
-                payload, pos = decode_payload(view, pos)
-                remote.setdefault(target, []).append((sender, payload))
-            view.release()
-        for target, pairs in remote.items():
-            box = inboxes.get(target)
-            if box:
-                pairs.extend(box.items())
-            pairs.sort(key=lambda sp: sp[0])
-            inboxes[target] = dict(pairs)
-
-    # -- kernel mode -----------------------------------------------------
+    # -- one protocol run --------------------------------------------------
     def _kernel_context(self) -> Any:
         """The cached :class:`~repro.congest.kernels.ShardContext` for this
         worker (static translation tables persist across runs; per-run
@@ -605,44 +469,28 @@ class _ShardWorker:
         if ctx is None:
             ctx = _kernels.ShardContext(
                 arrays, self.w, self.k, self.owner,
-                tuple(self.my_indices), self.policy, self._charge_cache)
+                tuple(self.my_indices), self.spec.policy,
+                self._charge_cache)
             self._kernel_ctx = ctx
         return ctx
 
     def run_kernel_protocol(self, barrier: Any, conn: Any, kernel_cls: Any,
                             shared: Dict[str, Any],
                             run_counter: int) -> None:
-        """Serve one run on the vectorized kernel fast path.
-
-        Mirrors :meth:`run_protocol` barrier-for-barrier so kernel-mode
-        and per-node workers are interchangeable from the coordinator's
-        point of view; only the per-round body differs (array publish /
-        apply instead of per-node deliver / compute).
-        """
+        """Serve one run of ``kernel_cls``'s sharded fast path, barrier
+        for barrier with the coordinator's replayed engine loop."""
         timeout = self.spec.timeout
         error: Optional[Tuple[int, int, BaseException]] = None
         ctx = self._kernel_context()
         ctx.node_rng = lambda node_id: self.node_rng(run_counter, node_id)
-        ctx.record_width = getattr(kernel_cls, "shard_words", 1) or 1
+        ctx.record_width = kernel_cls.shard_words
         kernel = None
         try:
             kernel = kernel_cls.shard_build(ctx)
-            # compiled pickup: same gates the in-process resolver applies
-            # (audited kernel, numba importable, env not vetoed, legacy
-            # additive streams off, no instance veto).  Purely a worker-
-            # local speedup — the packed MT pool replays the identical
-            # per-node bit streams, so outputs/metrics cannot move.
-            if (getattr(kernel_cls, "compiled_audited", False)
-                    and not self.spec.rng_additive
-                    and _compiled.compiled_enabled()
-                    and _compiled.unavailable_reason() is None
-                    and kernel.compiled_why(dict(shared)) is None):
-                kernel.enable_compiled(self._node_stream_prefix(
-                    self.spec.seed, run_counter, 0))
             kernel.shard_setup(dict(shared))
         except BaseException as exc:
             pos = getattr(kernel, "shard_pos", 0) if kernel else 0
-            error = (_PHASE_START, pos, exc)
+            error = (_PHASE_SETUP, pos, exc)
         self._write_kernel_stats(kernel, ctx, error, 0, 0, 0)
         barrier.wait(timeout)  # B0: setup done, flags readable
         views: List[Any] = []
@@ -669,7 +517,7 @@ class _ShardWorker:
                     try:
                         extra = kernel.shard_publish(rounds + 1)
                     except BaseException as exc:
-                        error = (_PHASE_DELIVER, kernel.shard_pos, exc)
+                        error = (_PHASE_PUBLISH, kernel.shard_pos, exc)
                         ctx.clear_staged()
                 halo_bits, halo_records = self._publish_kernel_halo(ctx)
                 barrier.wait(timeout)  # B2: every halo block published
@@ -678,7 +526,7 @@ class _ShardWorker:
                         self._load_incoming(ctx, views)
                         kernel.shard_apply(rounds + 1)
                     except BaseException as exc:
-                        error = (_PHASE_COMPUTE, kernel.shard_pos, exc)
+                        error = (_PHASE_APPLY, kernel.shard_pos, exc)
                 rounds += 1
                 ctx.incoming = []
                 self._release_views(views)
@@ -751,6 +599,9 @@ class _ShardWorker:
             fresh = shared_memory.SharedMemory(
                 name=_halo_name(self.spec.base, self.w, self.halo_gen),
                 create=True, size=new_cap)
+            # peers are never reading between the command and halo
+            # barriers, so the old generation can be retired immediately
+            # (existing mappings stay valid until they close it)
             self.halo.unlink()
             self.halo.close()
             self.halo = fresh
@@ -761,32 +612,19 @@ class _ShardWorker:
         offsets[0] = 0
         records = 0
         width = ctx.record_width
-        # native codec: with numba live, segments are written by the
-        # jitted packer straight into a uint8 view of the halo block
-        # (bit-identical layout to the struct path — pinned by tests)
-        np8 = None
-        if _compiled._numba is not None and _compiled.np is not None:
-            np8 = _compiled.np.frombuffer(buf, dtype=_compiled.np.uint8)
         for d in range(k):
             size = seg_sizes[d]
             if size:
                 words = staged_words[d]
                 blob = staged_blobs[d]
                 base = header + pos
-                if np8 is not None:
-                    _np = _compiled.np
-                    _compiled.pack_segment(
-                        np8, base,
-                        _np.frombuffer(words, dtype=_np.int64),
-                        _np.frombuffer(blob, dtype=_np.uint8))
-                else:
-                    buf[base:base + 8] = _pack_q(len(words))
-                    raw = words.tobytes()
-                    buf[base + 8:base + 8 + len(raw)] = raw
-                    tail = base + 8 + len(raw)
-                    buf[tail:tail + 8] = _pack_q(len(blob))
-                    if blob:
-                        buf[tail + 8:tail + 8 + len(blob)] = blob
+                buf[base:base + 8] = _pack_q(len(words))
+                raw = words.tobytes()
+                buf[base + 8:base + 8 + len(raw)] = raw
+                tail = base + 8 + len(raw)
+                buf[tail:tail + 8] = _pack_q(len(blob))
+                if blob:
+                    buf[tail + 8:tail + 8 + len(blob)] = blob
                 records += len(words) // width
                 pos += size
             offsets[d + 1] = pos
@@ -853,222 +691,6 @@ class _ShardWorker:
                 pass
         views.clear()
 
-    # -- one protocol run ----------------------------------------------
-    def run_protocol(self, barrier: Any, conn: Any, factory: Callable,
-                     shared: Dict[str, Any], run_counter: int) -> None:
-        timeout = self.spec.timeout
-        error: Optional[Tuple[int, int, BaseException]] = None
-        algorithms: Dict[int, Any] = {}
-        outboxes: Dict[int, Dict[Any, Any]] = {}
-        unfinished: List[int] = []
-        shared = dict(shared)
-        # setup: the engine runs every factory, then every start()
-        try:
-            for i, v in zip(self.my_indices, self.my_ids):
-                ctx = NodeContext(
-                    node_id=v, neighbors=self.nbrs[v],
-                    edge_weights=self.weights[v], n=self.n,
-                    rng=self.node_rng(run_counter, v), shared=shared)
-                algorithms[v] = factory(ctx)
-        except BaseException as exc:
-            error = (_PHASE_FACTORY, self.my_indices[len(algorithms)], exc)
-        if error is None:
-            try:
-                for i, v in zip(self.my_indices, self.my_ids):
-                    alg = algorithms[v]
-                    out = alg.start()
-                    if out:
-                        outboxes[v] = out
-                    if not alg.finished:
-                        unfinished.append(v)
-            except BaseException as exc:
-                error = (_PHASE_START, i, exc)
-        self._write_round_stats(error, 0, 0, 0, 0, 0,
-                                outboxes, algorithms, unfinished)
-        barrier.wait(timeout)  # B0: setup done, flags readable
-        while True:
-            barrier.wait(timeout)  # B1: command word readable
-            cmd = self.words[_CMD]
-            if cmd == _CMD_FINISH:
-                conn.send(("ok", {v: algorithms[v].output
-                                  for v in self.my_ids}))
-                return
-            if cmd == _CMD_ABORT:
-                if error is not None:
-                    phase, pos, exc = error
-                    conn.send(("err", phase, pos,
-                               type(exc).__name__, str(exc)))
-                else:
-                    conn.send(("aborted",))
-                return
-            # one round: deliver -> publish -> absorb -> compute
-            staged: List[bytearray] = [bytearray() for _ in range(self.k)]
-            inboxes: Dict[int, Dict[int, Any]] = {}
-            messages = bits_sum = max_bits = extra = 0
-            try:
-                messages, bits_sum, max_bits, extra = self._deliver(
-                    outboxes, staged, inboxes)
-            except _DeliveryFault as fault:
-                error = (_PHASE_DELIVER, fault.pos, fault.error)
-                staged = [bytearray() for _ in range(self.k)]
-            halo_bits = self._publish_halo(staged)
-            barrier.wait(timeout)  # B2: every halo block published
-            if error is None:
-                self._absorb_halo(inboxes)
-                outboxes.clear()
-                still_active: List[int] = []
-                try:
-                    for v in unfinished:
-                        alg = algorithms[v]
-                        out = alg.on_round(inboxes.get(v, _EMPTY_INBOX))
-                        if out:
-                            outboxes[v] = out
-                        if not alg.finished:
-                            still_active.append(v)
-                    unfinished = still_active
-                except BaseException as exc:
-                    error = (_PHASE_COMPUTE, self.pos_of_id[v], exc)
-            self._write_round_stats(error, messages, bits_sum, max_bits,
-                                    extra, halo_bits, outboxes, algorithms,
-                                    unfinished)
-            barrier.wait(timeout)  # B3: stats row readable
-
-    def _write_round_stats(self, error, messages, bits_sum, max_bits,
-                           extra, halo_bits, outboxes, algorithms,
-                           unfinished) -> None:
-        if error is not None:
-            self.stat(_S_STATUS, 1)
-            self.stat(_S_ERR_PHASE, error[0])
-            self.stat(_S_ERR_POS, error[1])
-        else:
-            self.stat(_S_STATUS, 0)
-        self.stat(_S_MESSAGES, messages)
-        self.stat(_S_BITS, bits_sum)
-        self.stat(_S_MAX_BITS, max_bits)
-        self.stat(_S_EXTRA, extra)
-        self.stat(_S_HALO_BITS, halo_bits)
-        self.stat(_S_HALO_RECORDS, 0)
-        self.stat(_S_ANY_OUT, 1 if outboxes else 0)
-        self.stat(_S_ALL_PASSIVE,
-                  1 if all(algorithms[v].passive for v in unfinished) else 0)
-        self.stat(_S_ANY_UNFINISHED, 1 if unfinished else 0)
-
-    def _deliver(self, outboxes: Dict[int, Dict[Any, Any]],
-                 staged: List[bytearray],
-                 inboxes: Dict[int, Dict[int, Any]],
-                 ) -> Tuple[int, int, int, int]:
-        """Sender-side delivery: ``_deliver_batched`` branch for branch.
-
-        Local targets land in ``inboxes``; cut-edge targets are encoded
-        into ``staged[destination_shard]``.  Every message is priced by
-        its sender's worker, so sums/maxima over workers equal the
-        engine's single-pass totals exactly.  The first per-sender error
-        is wrapped in :class:`_DeliveryFault` with the sender's global
-        order position.
-        """
-        messages = bits_sum = max_bits = extra = 0
-        w = self.w
-        owner_of = self.owner_of_id
-        from .network import ProtocolError
-
-        for i, sender in zip(self.my_indices, self.my_ids):
-            out = outboxes.get(sender)
-            if not out:
-                continue
-            try:
-                nbrs = self.nbrs[sender]
-                if BROADCAST in out:
-                    if len(out) == 1:
-                        # pure broadcast: price once, deliver the row
-                        if not nbrs:
-                            continue
-                        payload = out[BROADCAST]
-                        bits = payload_bits_fast(payload)
-                        charge = self.charge(bits, sender, nbrs[0])
-                        if charge > extra:
-                            extra = charge
-                        messages += len(nbrs)
-                        bits_sum += bits * len(nbrs)
-                        if bits > max_bits:
-                            max_bits = bits
-                        encoded: Optional[bytearray] = None
-                        for u in nbrs:
-                            d = owner_of[u]
-                            if d == w:
-                                inboxes.setdefault(u, {})[sender] = payload
-                            else:
-                                if encoded is None:
-                                    encoded = bytearray()
-                                    encode_payload(encoded, payload)
-                                seg = staged[d]
-                                seg += _pack_q(sender)
-                                seg += _pack_q(u)
-                                seg += encoded
-                        continue
-                    # mixed broadcast + unicast: expand into slot order so
-                    # later entries overwrite earlier ones exactly as the
-                    # engine's slot scratch does
-                    slots: List[Any] = [_UNSET] * len(nbrs)
-                    slot_of = self.slot_of[sender]
-                    for target, payload in out.items():
-                        if target == BROADCAST:
-                            for off in range(len(nbrs)):
-                                slots[off] = payload
-                        else:
-                            off = slot_of.get(target)
-                            if off is None:
-                                raise ProtocolError(
-                                    f"node {sender} tried to message "
-                                    f"non-neighbor {target}")
-                            slots[off] = payload
-                    for off, payload in enumerate(slots):
-                        if payload is _UNSET:
-                            continue
-                        target = nbrs[off]
-                        bits = payload_bits_fast(payload)
-                        charge = self.charge(bits, sender, target)
-                        if charge > extra:
-                            extra = charge
-                        messages += 1
-                        bits_sum += bits
-                        if bits > max_bits:
-                            max_bits = bits
-                        d = owner_of[target]
-                        if d == w:
-                            inboxes.setdefault(target, {})[sender] = payload
-                        else:
-                            seg = staged[d]
-                            seg += _pack_q(sender)
-                            seg += _pack_q(target)
-                            encode_payload(seg, payload)
-                    continue
-                # unicast-only: validate and price in insertion order
-                slot_of = self.slot_of[sender]
-                for target, payload in out.items():
-                    if target not in slot_of:
-                        raise ProtocolError(
-                            f"node {sender} tried to message non-neighbor "
-                            f"{target}")
-                    bits = payload_bits_fast(payload)
-                    charge = self.charge(bits, sender, target)
-                    if charge > extra:
-                        extra = charge
-                    messages += 1
-                    bits_sum += bits
-                    if bits > max_bits:
-                        max_bits = bits
-                    d = owner_of[target]
-                    if d == w:
-                        inboxes.setdefault(target, {})[sender] = payload
-                    else:
-                        seg = staged[d]
-                        seg += _pack_q(sender)
-                        seg += _pack_q(target)
-                        encode_payload(seg, payload)
-            except BaseException as exc:
-                raise _DeliveryFault(i, exc) from exc
-        return messages, bits_sum, max_bits, extra
-
     def close(self) -> None:
         self.words.release()
         self.meta.close()
@@ -1087,10 +709,6 @@ class _ShardWorker:
         self.halo.close()
 
 
-_UNSET = object()
-_EMPTY_INBOX: Dict[int, Any] = {}
-
-
 def _shard_worker_main(spec: _WorkerSpec, barrier: Any, conn: Any) -> None:
     """Worker process entry point: serve protocol runs until closed."""
     from threading import BrokenBarrierError
@@ -1104,14 +722,10 @@ def _shard_worker_main(spec: _WorkerSpec, barrier: Any, conn: Any) -> None:
                 break
             if not cmd or cmd[0] != "run":
                 break
-            _, factory, protocol, shared, run_counter, kernel_cls = cmd
+            _, kernel_cls, shared, run_counter = cmd
             try:
-                if kernel_cls is not None:
-                    worker.run_kernel_protocol(barrier, conn, kernel_cls,
-                                               shared, run_counter)
-                else:
-                    worker.run_protocol(barrier, conn, factory, shared,
-                                        run_counter)
+                worker.run_kernel_protocol(barrier, conn, kernel_cls,
+                                           shared, run_counter)
             except BrokenBarrierError:
                 break  # the coordinator tore the pool down mid-run
     finally:
@@ -1362,34 +976,27 @@ class ShardedNetwork:
             return ShardingError(f"{typename}: {message}")
 
     # -- the replayed engine loop ----------------------------------------
-    def execute(self, factory: Callable, protocol: str,
+    def execute(self, kernel_cls: Any, protocol: str,
                 shared: Dict[str, Any], limit: int,
-                on_round_end: Optional[Callable[[int, Any], None]],
-                kernel_cls: Any = None) -> Any:
-        """Run one protocol across the shard pool, engine-identically.
-
-        ``kernel_cls`` switches the workers to the vectorized kernel
-        fast path (:meth:`_ShardWorker.run_kernel_protocol`); None runs
-        the per-node reference mode.  One pool serves both modes.
-        """
+                on_round_end: Optional[Callable[[int, Any], None]]) -> Any:
+        """Run one protocol across the shard pool, engine-identically:
+        every worker serves ``kernel_cls``'s sharded fast path
+        (:meth:`_ShardWorker.run_kernel_protocol`)."""
         if self.broken or self._closed:
             raise ShardingError("sharded executor is closed")
-        net = self.net
-        metrics = net.metrics
-        metrics.record_shard_run(self.partition.cut_edges,
-                                 self.partition.imbalance)
+        self.net.metrics.record_shard_run(self.partition.cut_edges,
+                                          self.partition.imbalance)
         try:
-            return self._execute_dispatched(factory, protocol, shared,
-                                            limit, on_round_end, kernel_cls)
+            return self._execute_dispatched(kernel_cls, protocol, shared,
+                                            limit, on_round_end)
         except BaseException:
             self._recover_after_error()
             raise
 
-    def _execute_dispatched(self, factory: Callable, protocol: str,
+    def _execute_dispatched(self, kernel_cls: Any, protocol: str,
                             shared: Dict[str, Any], limit: int,
                             on_round_end: Optional[Callable[[int, Any],
-                                                            None]],
-                            kernel_cls: Any = None) -> Any:
+                                                            None]]) -> Any:
         from ..observe.events import ROUND_END, ROUND_START, RoundEnd, RoundStart
         from .network import ProtocolError, RunResult
 
@@ -1397,8 +1004,7 @@ class ShardedNetwork:
         metrics = net.metrics
         self._run_state = "dispatch"
         for conn in self._conns:
-            conn.send(("run", factory, protocol, shared, net._run_counter,
-                       kernel_cls))
+            conn.send(("run", kernel_cls, shared, net._run_counter))
         self._run_state = "running"
         self._wait()  # B0: workers set up, flags readable
         rows = [self._stats_row(w) for w in range(self.k)]
@@ -1406,7 +1012,7 @@ class ShardedNetwork:
         rounds = 0
         while True:
             error = self._first_error(rows)
-            if error is not None and error[0] <= _PHASE_START:
+            if error is not None:  # only setup errors exist before round 1
                 self._raise_run_error(error)
             any_unfinished = any(r[_S_ANY_UNFINISHED] for r in rows)
             if not any_unfinished:
@@ -1433,9 +1039,10 @@ class ShardedNetwork:
             self._wait()  # B3: stats rows written
             rows = [self._stats_row(w) for w in range(self.k)]
             error = self._first_error(rows)
-            if error is not None and error[0] == _PHASE_DELIVER:
-                # the engine records nothing for a delivery-phase error
-                # (the batch fold and record_round are never reached)
+            if error is not None and error[0] == _PHASE_PUBLISH:
+                # the in-process kernel records nothing for a pricing
+                # error (the traffic fold and record_round are never
+                # reached)
                 self._raise_run_error(error)
             metrics.record_message_batch(
                 sum(r[_S_MESSAGES] for r in rows),
@@ -1443,19 +1050,14 @@ class ShardedNetwork:
                 max(r[_S_MAX_BITS] for r in rows))
             metrics.record_halo_bits(sum(r[_S_HALO_BITS] for r in rows),
                                      sum(r[_S_HALO_RECORDS] for r in rows))
-            if error is not None and kernel_cls is not None:
-                # kernel-mode compute error: the in-process kernel raises
-                # out of step() after the traffic fold but before the
-                # round is counted — record traffic only
+            if error is not None:
+                # apply-phase error: the in-process kernel raises out of
+                # step() after the traffic fold but before the round is
+                # counted — record traffic only
                 self._raise_run_error(error)
             rounds += 1
             metrics.record_round(protocol,
                                  max(r[_S_EXTRA] for r in rows))
-            if error is not None:
-                # per-node compute-phase error: traffic and the round are
-                # already recorded (the engine raises after record_round,
-                # before RoundEnd and the hook)
-                self._raise_run_error(error)
             if want_round_end:
                 bus.emit(RoundEnd(
                     protocol=protocol, round=rounds,
@@ -1513,40 +1115,27 @@ def env_shards() -> Optional[int]:
 def resolve_shards(net: Any) -> Optional[int]:
     """How many shards a run on ``net`` should use, or None for none.
 
-    The ladder: the environment kill switch (``REPRO_SHARDS=0``, when the
-    plan honors the environment) beats everything; a forced environment
-    count beats the plan; ``shards=0`` in the plan (or the legacy kwarg)
-    disables sharding just like the environment kill switch; ``shards=k``
-    forces ``k``; a shard-flavored tier (``sharded-kernel``/``sharded``,
-    including the ``engine="sharded"`` shim) opts in with the default
-    count; otherwise auto-sharding engages for large networks
+    The ladder: the environment kill switch (``REPRO_SHARDS=0``) beats
+    everything; a forced environment count beats the plan; ``shards=0``
+    in the plan disables sharding just like the environment kill switch;
+    ``shards=k`` forces ``k``; ``tier="sharded-kernel"`` opts in with the
+    default count; otherwise auto-sharding engages for large networks
     (>= :data:`AUTO_SHARD_MIN_NODES` nodes) on multi-core machines.
-
-    Since shard workers run the vectorized kernel fast path themselves
-    (kernel mode), auto-sharding no longer defers to the in-process
-    kernel when kernels are enabled — the tiers compose instead of
-    competing.
     """
-    plan = getattr(net, "execution_plan", None)
-    if plan is None or plan.env_overrides:
-        forced = env_shards()
-        if forced == 0:
-            return None
-        if forced is not None:
-            return forced
-    requested = (plan.shards if plan is not None
-                 else getattr(net, "requested_shards", None))
-    if requested == 0:
+    forced = env_shards()
+    if forced == 0:
         return None
-    if requested is not None:
-        return max(1, requested)
-    tier = plan.tier if plan is not None else "auto"
-    if tier in ("sharded", "sharded-kernel") or net.engine == "sharded":
-        return max(1, min(MAX_AUTO_SHARDS, os.cpu_count() or 1))
-    if tier != "auto":
+    if forced is not None:
+        return forced
+    plan = net.execution_plan
+    if plan.shards == 0:
         return None
+    if plan.shards is not None:
+        return plan.shards
     cores = os.cpu_count() or 1
-    if (net.engine == "csr" and cores >= 2
+    if plan.tier == "sharded-kernel":
+        return min(MAX_AUTO_SHARDS, cores)
+    if (plan.tier == "auto" and cores >= 2
             and net.graph.num_nodes >= AUTO_SHARD_MIN_NODES):
         return min(MAX_AUTO_SHARDS, cores)
     return None

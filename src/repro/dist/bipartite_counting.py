@@ -132,12 +132,6 @@ class CountingKernel(RoundKernel):
     passive = True
     # audited: node-local state, read-only shared, (tag, count) payloads
     shardable = True
-    # compiled-audited: the kernel draws no randomness and its counts are
-    # arbitrary-precision by design (see above — int64 overflows exactly
-    # where the pipelining analysis gets interesting), so the compiled
-    # tier runs the same sparse wave; auditing it keeps `execution=
-    # "compiled"` plans honest instead of silently falling to 'kernel'.
-    compiled_audited = True
 
     def setup(self, shared: Dict[str, Any]) -> None:
         A = self.arrays

@@ -22,12 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..congest import compiled as _compiled
-from ..congest.compiled import maybe_njit, rng_randbelow, rng_random
 from ..congest.kernels import RoundKernel, register_kernel
 from ..congest.network import Network
-
-np = _compiled.np
 from ..congest.node import BROADCAST, Inbox, NodeAlgorithm, NodeContext, Outbox
 from ..runtime import as_network, register_map
 from ..graphs.graph import Edge, edge_key
@@ -124,88 +120,6 @@ class IsraeliItaiNode(NodeAlgorithm):
         return {}
 
 
-# ---------------------------------------------------------------------------
-# compiled-tier passes (numba-jitted when available, interpreted otherwise)
-# ---------------------------------------------------------------------------
-
-@maybe_njit
-def _ii_advance(mt, mti, ids, prefix, live, matched, free_deg, finished,
-                proposed, elig_flat, elig_indptr, tgt, mask):
-    """Jitted :meth:`IsraeliItaiKernel._advance`: halt-or-propose over the
-    live list, drawing the node program's exact coin + choice sequence from
-    the packed MT19937 pool.  Returns (new_live, proposers, targets)."""
-    n_live = live.shape[0]
-    new_live = np.empty(n_live, dtype=np.int64)
-    props_p = np.empty(n_live, dtype=np.int64)
-    props_t = np.empty(n_live, dtype=np.int64)
-    nl = 0
-    npr = 0
-    for idx in range(n_live):
-        i = live[idx]
-        if matched[i] != 0 or free_deg[i] == 0:
-            finished[i] = 1
-            continue
-        new_live[nl] = i
-        nl += 1
-        if rng_random(mt, mti, ids, prefix, i) < 0.5:
-            # rng.choice over the believed-free targets (ascending order,
-            # length == free_deg[i]) consumes exactly one randbelow draw
-            k = rng_randbelow(mt, mti, ids, prefix, i, free_deg[i])
-            seen = 0
-            ti = -1
-            for ptr in range(elig_indptr[i], elig_indptr[i + 1]):
-                e = elig_flat[ptr]
-                if mask[e] != 0:
-                    if seen == k:
-                        ti = tgt[e]
-                        break
-                    seen += 1
-            proposed[i] = 1
-            props_p[npr] = i
-            props_t[npr] = ti
-            npr += 1
-        else:
-            proposed[i] = 0
-    return new_live[:nl], props_p[:npr], props_t[:npr]
-
-
-@maybe_njit
-def _ii_accept(mt, mti, ids, prefix, props_p, props_t, proposed, n):
-    """Jitted accept phase: group proposals by target (ascending target,
-    candidates ascending by proposer — the engine's dict insertion order)
-    and let each non-proposing target draw one uniformly."""
-    m = props_p.shape[0]
-    sel = np.argsort(props_t * (n + 1) + props_p)
-    acc_t = np.empty(m, dtype=np.int64)
-    acc_p = np.empty(m, dtype=np.int64)
-    na = 0
-    pos = 0
-    while pos < m:
-        t = props_t[sel[pos]]
-        end = pos
-        while end < m and props_t[sel[end]] == t:
-            end += 1
-        if proposed[t] == 0:
-            k = rng_randbelow(mt, mti, ids, prefix, t, end - pos)
-            acc_t[na] = t
-            acc_p[na] = props_p[sel[pos + k]]
-            na += 1
-        pos = end
-    return acc_t[:na], acc_p[:na]
-
-
-@maybe_njit
-def _ii_prune(newly, elig_flat, elig_indptr, rev, tgt, mask, free_deg):
-    """Jitted prune scatter: clear the reverse slot of every eligible edge
-    of a newly matched node and decrement the targets' free degrees."""
-    for j in range(newly.shape[0]):
-        v = newly[j]
-        for ptr in range(elig_indptr[v], elig_indptr[v + 1]):
-            e = elig_flat[ptr]
-            mask[rev[e]] = 0
-            free_deg[tgt[e]] -= 1
-
-
 @register_kernel(IsraeliItaiNode)
 class IsraeliItaiKernel(RoundKernel):
     """Vectorized superstep executor for :class:`IsraeliItaiNode`.
@@ -237,10 +151,6 @@ class IsraeliItaiKernel(RoundKernel):
 
     # audited: node-local state, read-only shared, single-char payloads
     shardable = True
-    # audited for the compiled tier: every draw goes through :meth:`rng`
-    # (coin, proposal choice, accept choice) and the jitted passes below
-    # replay the exact per-node draw order over packed state
-    compiled_audited = True
     #: sharded fast path: (a, b) index pairs — proposals (proposer,
     #: target) routed to the target's shard, acceptances (accepter,
     #: proposer) broadcast so every worker keeps mate/mask/free-degree
@@ -451,125 +361,6 @@ class IsraeliItaiKernel(RoundKernel):
                     mask[rev[e]] = False
                     free_deg[tgt[e]] -= 1
         self._advance()
-        self.phase = "accept"
-        return extra
-
-    # -- compiled tier -----------------------------------------------------
-    # The four phases rerun as jitted passes over packed arrays; the python
-    # ``mate`` id list stays authoritative for outputs while ``matched``
-    # mirrors it as a uint8 array for the jitted halting test.  After
-    # :meth:`_pack_compiled` the array state is authoritative — the list
-    # state from :meth:`setup` is not updated further.
-
-    def _pack_compiled(self) -> Dict[str, Any]:
-        A = self.arrays
-        n = A.n
-        flat: List[int] = []
-        indptr: List[int] = [0]
-        for i in range(n):
-            flat.extend(self.elig[i])
-            indptr.append(len(flat))
-        c: Dict[str, Any] = {
-            "elig_flat": np.asarray(flat, dtype=np.int64),
-            "elig_indptr": np.asarray(indptr, dtype=np.int64),
-            "tgt": np.asarray(A.tgt, dtype=np.int64),
-            "rev": np.asarray(A.rev, dtype=np.int64),
-            "mask": np.asarray(self.mask, dtype=np.uint8),
-            "free_deg": np.asarray(self.free_deg, dtype=np.int64),
-            "matched": np.asarray([m is not None for m in self.mate],
-                                  dtype=np.uint8),
-            "finished": np.asarray(self.finished, dtype=np.uint8),
-            "proposed": np.asarray(self.proposed, dtype=np.uint8),
-        }
-        self.live = np.asarray(self.live, dtype=np.int64)
-        self._c = c
-        return c
-
-    def _compiled_advance(self, c: Dict[str, Any]) -> None:
-        pool = self._rng_pool
-        new_live, props_p, props_t = _ii_advance(
-            pool.mt, pool.mti, pool.ids, pool.prefix, self.live,
-            c["matched"], c["free_deg"], c["finished"], c["proposed"],
-            c["elig_flat"], c["elig_indptr"], c["tgt"], c["mask"])
-        self.live = new_live
-        self._c_props = (props_p, props_t)
-
-    def compiled_step(self, round_number: int) -> int:
-        c = getattr(self, "_c", None)
-        if c is None:
-            c = self._pack_compiled()
-        A = self.arrays
-        order = A.order
-        pool = self._rng_pool
-        phase = self.phase
-
-        if phase == "announce":
-            live = self.live
-            if len(live):
-                i0 = int(live[0])
-                extra = self._price12(self._announce_count, order[i0],
-                                      order[A.tgt[self.elig[i0][0]]])
-            else:
-                extra = self._price12(0, 0, 0)
-            self._compiled_advance(c)
-            self.phase = "accept"
-            return extra
-
-        if phase == "accept":
-            props_p, props_t = self._c_props
-            if len(props_p):
-                extra = self._price12(len(props_p), order[int(props_p[0])],
-                                      order[int(props_t[0])])
-            else:
-                extra = self._price12(0, 0, 0)
-            acc_t, acc_p = _ii_accept(pool.mt, pool.mti, pool.ids,
-                                      pool.prefix, props_p, props_t,
-                                      c["proposed"], A.n)
-            mate = self.mate
-            matched = c["matched"]
-            for j in range(len(acc_t)):
-                t = int(acc_t[j])
-                mate[t] = order[int(acc_p[j])]
-                matched[t] = 1
-            self._c_acc = (acc_t, acc_p)
-            self.phase = "notify"
-            return extra
-
-        if phase == "notify":
-            acc_t, acc_p = self._c_acc
-            if len(acc_t):
-                extra = self._price12(len(acc_t), order[int(acc_t[0])],
-                                      order[int(acc_p[0])])
-            else:
-                extra = self._price12(0, 0, 0)
-            mate = self.mate
-            matched = c["matched"]
-            newly: List[int] = []
-            for j in range(len(acc_t)):
-                t = int(acc_t[j])
-                p = int(acc_p[j])
-                mate[p] = order[t]
-                matched[p] = 1
-                newly.append(t)
-                newly.append(p)
-            newly.sort()
-            self._c_newly = np.asarray(newly, dtype=np.int64)
-            self.phase = "prune"
-            return extra
-
-        # phase == "prune"
-        newly = self._c_newly
-        count = sum(self.elig_count[int(v)] for v in newly)
-        if count:
-            v0 = int(newly[0])
-            extra = self._price12(count, order[v0],
-                                  order[A.tgt[self.elig[v0][0]]])
-        else:
-            extra = self._price12(0, 0, 0)
-        if len(newly):
-            _ii_prune(newly, c["elig_flat"], c["elig_indptr"], c["rev"],
-                      c["tgt"], c["mask"], c["free_deg"])
-        self._compiled_advance(c)
         self.phase = "accept"
         return extra
 

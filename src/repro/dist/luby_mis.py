@@ -19,8 +19,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..observe.events import MISDecision
-from ..congest import compiled as _compiled
-from ..congest.compiled import maybe_njit, rng_getrandbits
 from ..congest.kernels import RoundKernel, register_kernel
 from ..congest.message import int_bits
 from ..congest.network import Network
@@ -29,27 +27,6 @@ from ..runtime import as_network
 
 _JOIN = "J"
 _DOMINATED = "D"
-
-# numpy via the compiled module's guarded import: the jitted redraw below
-# only ever runs once the compiled tier resolved, which requires numpy.
-np = _compiled.np
-
-
-@maybe_njit
-def _luby_redraw(mt, mti, ids, prefix, row, cap, k):
-    """Jitted ``randint(1, cap)`` over the packed MT19937 pool.
-
-    Replays CPython's ``_randbelow`` fixed-width rejection loop (the same
-    loop :meth:`LubyMISKernel._redraw` peels out in python) against the
-    row-``row`` generator state, so the bit stream — and therefore every
-    draw — is identical to ``self.rng(i).getrandbits``.  Only valid while
-    ``cap`` fits the facade's single-call width (``k <= 62``); the caller
-    gates on that and falls back to the python loop otherwise.
-    """
-    v = rng_getrandbits(mt, mti, ids, prefix, row, k)
-    while v >= np.uint64(cap):
-        v = rng_getrandbits(mt, mti, ids, prefix, row, k)
-    return v + np.uint64(1)
 
 # sharded-kernel halo record kinds (first word of each 3-word record)
 _REC_DRAW = 0  # (DRAW, drawer index, value word) -> stamp draw/drawn_at
@@ -137,10 +114,6 @@ class LubyMISKernel(RoundKernel):
 
     # audited: node-local state, read-only shared, scalar/tag payloads
     shardable = True
-    # compiled-audited: the only randomness is `_redraw`, which the
-    # compiled tier replays jitted over the packed rng pool (bit-exact);
-    # everything else is the numpy/python superstep body unchanged.
-    compiled_audited = True
     #: sharded fast path: (kind, a, b) records — see the ``_REC_*`` kinds
     shard_words = 3
 
@@ -210,17 +183,7 @@ class LubyMISKernel(RoundKernel):
         ``_randbelow`` is a fixed-width ``getrandbits`` rejection loop; this
         replays that loop directly, consuming the identical bit stream (the
         kernel golden tests pin the equivalence) at a third of the cost.
-
-        On the compiled tier the loop runs jitted against the packed
-        MT19937 pool (same bit stream, no per-call boxing); caps wider
-        than 62 bits (n ≳ 46000) stay on the python loop, whose facade
-        ``getrandbits`` is still bit-identical.
         """
-        if self.compiled and self._cap_bits <= 62:
-            pool = self._rng_pool
-            return int(_luby_redraw(pool.mt, pool.mti, pool.ids,
-                                    pool.prefix, i, self.cap,
-                                    self._cap_bits))
         gb = self.rng(i).getrandbits
         cap = self.cap
         k = self._cap_bits

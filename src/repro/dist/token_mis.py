@@ -162,13 +162,6 @@ class TokenKernel(RoundKernel):
     passive = True  # tokens/confirmations drive everything; silence = done
     # audited: node-local state, read-only shared, plain-tuple payloads
     shardable = True
-    # compiled-audited: all randomness flows through ``self.rng`` — the
-    # compiled tier swaps in the packed-pool facade, so leader draws
-    # (``sample_max_uniform``) and layer choices (``weighted_choice``)
-    # run on jitted MT19937 state bit-for-bit; the sparse token walk
-    # itself stays python (each node is touched O(1) times, so there is
-    # no dense loop for a jitted pass to amortize).
-    compiled_audited = True
     #: sharded fast path: (kind, sender, target, value, leader) records
     #: (kind 0 = token, 1 = confirmation; ids travel as indices).  When a
     #: collision observer is subscribed, ``shared`` holds a callable and

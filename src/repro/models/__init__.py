@@ -5,8 +5,8 @@
 hoisted out of ``repro.congest.execution`` (which remains a
 golden-pinned shim).  :mod:`repro.models.base` defines the
 :class:`ComputationModel` seam and the two registered models:
-``congest`` (synchronous message passing on the six-rung engine
-ladder) and ``mpc`` (simulated machines with per-machine memory caps).
+``congest`` (synchronous message passing on the engine ladder) and
+``mpc`` (simulated machines with per-machine memory caps).
 """
 
 from .base import (

@@ -12,8 +12,9 @@ whether a "round" is a CONGEST message round or an MPC superstep.  What
   MPC supersteps — both land in ``Metrics.rounds`` so cross-model tables
   stay comparable, but the unit is named in explanations),
 * which **execution tiers** of :mod:`repro.models.execution` the model
-  can run on — each model owns its *own* ladder (CONGEST the full
-  six-rung one, MPC the two-rung ``mpc_kernel`` > ``node``) and rejects
+  can run on — each model owns its *own* ladder (CONGEST
+  ``sharded-kernel`` > ``kernel`` > ``node`` plus the pinned ``legacy``
+  reference, MPC ``mpc_kernel`` > ``node``) and rejects
   foreign rungs outright instead of silently demoting them, and
 * how a plan **resolves** for one run (:meth:`ComputationModel.resolve`),
   which is what ``explain_execution()`` reports — reason chains always
@@ -87,11 +88,11 @@ class ComputationModel:
 
 
 class CongestModel(ComputationModel):
-    """Synchronous CONGEST message passing on the six-rung ladder."""
+    """Synchronous CONGEST message passing on the engine ladder."""
 
     name = "congest"
     loop_unit = "round"
-    tiers = TIERS  # every rung, "compiled" down to "legacy"
+    tiers = TIERS  # every rung, "sharded-kernel" down to "legacy"
 
     def resolve(self, executor: Any, factory: Any = None,
                 shared: Optional[Dict[str, Any]] = None,
@@ -106,10 +107,10 @@ class MPCModel(ComputationModel):
     MPC owns a two-rung ladder of its own: ``mpc_kernel`` (whole-cluster
     array passes over packed machine ledgers, numpy-backed) falling
     through to ``node`` (the per-machine pure-python reference).  The
-    compiled/kernel/shard rungs are CONGEST engine internals (vectorized
-    round kernels, forked per-node workers); asking an MPC run for one of
-    those raises :class:`ModelExecutionError` instead of silently falling
-    down a foreign ladder.
+    kernel/shard rungs are CONGEST engine internals (vectorized round
+    kernels, forked shard workers); asking an MPC run for one of those
+    raises :class:`ModelExecutionError` instead of silently falling down
+    a foreign ladder.
     """
 
     name = "mpc"
@@ -117,10 +118,10 @@ class MPCModel(ComputationModel):
     tiers = MPC_TIERS
 
     def _reject_reason(self, tier: str) -> str:
-        return ("the compiled, kernel and shard tiers are CONGEST engine "
-                "rungs (jitted/vectorized round kernels, forked per-node "
-                "workers); MPC supersteps execute on simulated machines "
-                "with per-machine memory caps — use execution='auto', "
+        return ("the kernel and shard tiers are CONGEST engine rungs "
+                "(vectorized round kernels, forked shard workers); MPC "
+                "supersteps execute on simulated machines with "
+                "per-machine memory caps — use execution='auto', "
                 "'mpc_kernel' or 'node'")
 
     def resolve(self, executor: Any, factory: Any = None,
@@ -139,7 +140,7 @@ class MPCModel(ComputationModel):
         say(f"model 'mpc': resolving plan tier '{plan.tier}' on the MPC "
             f"execution ladder ({' > '.join(MPC_TIERS)})")
         vector_why = _mpc_kernel.unavailable_reason(
-            plan, getattr(executor, "graph", None))
+            getattr(executor, "graph", None))
         for rung in MPC_LADDER[plan.tier]:
             if rung == "mpc_kernel":
                 if vector_why is None:

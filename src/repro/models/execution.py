@@ -1,47 +1,29 @@
 """Execution plans: one inspectable config for how a Network runs.
 
-The engine grew four performance tiers (vectorized kernels inside shard
-workers, in-process kernels, per-node shard workers, per-node dispatch)
-plus a legacy reference engine, and historically five knobs steered them:
-``engine=``, ``shards=``, ``REPRO_NO_KERNELS``, ``REPRO_SHARDS`` and
-``REPRO_LEGACY_ENGINE``, with implicit precedence between them.  This
-module replaces that ladder's *interface* with a single frozen config
-object, :class:`ExecutionPlan`, accepted as ``Network(execution=...)``
-and ``repro.run(execution=...)``:
+The CONGEST engine runs every protocol on one of three rungs — vectorized
+kernels inside shard workers, in-process kernels, per-node dispatch —
+plus the legacy dict engine kept as the golden reference.  One frozen
+config object, :class:`ExecutionPlan`, chooses among them; it is accepted
+as ``Network(execution=...)`` and ``repro.run(execution=...)``:
 
 >>> net = Network(g, execution=ExecutionPlan(tier="sharded-kernel", shards=4))
 >>> net = Network(g, execution="node")            # tier name shorthand
 
 ``tier`` names the highest rung the run may use; resolution walks *down*
-the ladder when a rung is ineligible (exactly like the historical silent
-fallbacks).  The rungs, fastest first::
+the ladder when a rung is ineligible.  The CONGEST rungs, fastest first::
 
-    compiled         numba-jitted RoundKernel hot path, single process
     sharded-kernel   RoundKernel array fast path inside shard workers
     kernel           RoundKernel fast path, single process
-    sharded          per-node dispatch inside shard workers
     node             per-node dispatch, single process (the reference)
-    legacy           the original per-message dict engine
-
-The ``compiled`` rung engages only when numba is importable (the
-``repro[compiled]`` extra), the selected kernel declares itself
-``compiled_audited`` and ``REPRO_NO_COMPILED`` is unset; otherwise it
-falls through silently, exactly like every rung before it.
+    legacy           the original per-message dict engine (pinned only)
 
 ``tier="auto"`` (the default) applies the auto rules: kernels whenever a
 protocol registers one, sharding on top when requested or when the
 network is large and the machine multi-core.  ``shards=None`` follows
 the auto rules, ``shards=0`` is the kill switch (never shard — same
 semantics as ``REPRO_SHARDS=0``), ``shards=k`` forces ``k`` workers.
-``kernels=False`` excludes both kernel tiers.  ``env_overrides=False``
-makes the plan ignore ``REPRO_NO_KERNELS``/``REPRO_SHARDS`` at run time
-(``REPRO_LEGACY_ENGINE`` is a construction-time default and only affects
-networks built without an explicit plan or engine).
-
-The legacy ``engine=``/``shards=`` keywords still work as deprecation
-shims: they normalize into a plan (:meth:`ExecutionPlan.from_legacy`)
-and resolve to the same observable behavior, golden-pinned by
-``tests/test_execution.py``.
+``REPRO_SHARDS`` (set by ``python -m repro experiments --shards``)
+overrides the plan's shard count at run time.
 
 :func:`resolve_execution` is the single resolution routine used by both
 ``Network.run`` and ``Network.explain_execution``; the latter collects a
@@ -57,11 +39,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..observe.events import MESSAGE_DELIVERED
 
 #: CONGEST's resolved tier names, fastest first (``"auto"`` is a plan
-#: input, never a resolution result).  Kept as the historical name —
-#: shims and goldens pin it — but plans are validated against
-#: :data:`ALL_TIERS`, which also covers the per-model rungs of other
-#: computation models.
-TIERS = ("compiled", "sharded-kernel", "kernel", "sharded", "node", "legacy")
+#: input, never a resolution result).  Plans are validated against
+#: :data:`ALL_TIERS`, which also covers the rungs of other computation
+#: models.
+TIERS = ("sharded-kernel", "kernel", "node", "legacy")
 
 #: The MPC model's ladder, fastest first: whole-cluster array passes
 #: over packed machine ledgers, then the per-machine reference path.
@@ -72,19 +53,15 @@ MPC_TIERS = ("mpc_kernel", "node")
 #: Every tier name any registered computation model can resolve to.  A
 #: plan may name any of these; *which* of them a concrete run accepts is
 #: the model's call (:meth:`~repro.models.base.ComputationModel.check_plan`).
-ALL_TIERS = ("compiled", "sharded-kernel", "kernel", "sharded",
-             "mpc_kernel", "node", "legacy")
+ALL_TIERS = ("sharded-kernel", "kernel", "mpc_kernel", "node", "legacy")
 
-#: The rungs each plan tier may resolve to, in preference order.  A tier
-#: is a *ceiling with a sensible floor*: explicitly asking for a kernel
-#: tier never silently spawns worker processes, and explicitly asking
-#: for a sharded tier without kernels never re-enables them.
+#: The rungs each CONGEST plan tier may resolve to, in preference order.
+#: A tier is a *ceiling with a sensible floor*: explicitly asking for the
+#: kernel tier never silently spawns worker processes.
 _LADDER: Dict[str, Tuple[str, ...]] = {
-    "auto": ("compiled", "sharded-kernel", "kernel", "sharded", "node"),
-    "compiled": ("compiled", "kernel", "node"),
-    "sharded-kernel": ("sharded-kernel", "kernel", "sharded", "node"),
+    "auto": ("sharded-kernel", "kernel", "node"),
+    "sharded-kernel": ("sharded-kernel", "kernel", "node"),
     "kernel": ("kernel", "node"),
-    "sharded": ("sharded", "node"),
     "node": ("node",),
     "legacy": ("legacy",),
 }
@@ -102,20 +79,15 @@ MPC_LADDER: Dict[str, Tuple[str, ...]] = {
 class ExecutionPlan:
     """Frozen description of how protocols on a network should execute.
 
-    ``tier`` — ``"auto"`` or one of :data:`TIERS`: the highest rung this
-    plan allows (resolution falls down the ladder when a rung is
+    ``tier`` — ``"auto"`` or one of :data:`ALL_TIERS`: the highest rung
+    this plan allows (resolution falls down the ladder when a rung is
     ineligible for a given run).  ``shards`` — None follows the auto
     rules, ``0`` disables sharding entirely (the kwarg kill switch,
     mirroring ``REPRO_SHARDS=0``), ``k >= 1`` forces ``k`` workers.
-    ``kernels`` — False excludes the kernel tiers.  ``env_overrides`` —
-    False makes the plan ignore ``REPRO_NO_KERNELS`` and
-    ``REPRO_SHARDS`` when the run resolves.
     """
 
     tier: str = "auto"
     shards: Optional[int] = None
-    kernels: bool = True
-    env_overrides: bool = True
 
     def __post_init__(self) -> None:
         if self.tier != "auto" and self.tier not in ALL_TIERS:
@@ -124,62 +96,32 @@ class ExecutionPlan:
                 f"of {', '.join(ALL_TIERS)}")
         if self.shards is not None and self.shards < 0:
             raise ValueError("shards must be >= 0 (0 disables sharding)")
-        if self.shards and self.tier in ("compiled", "kernel", "mpc_kernel",
-                                         "node", "legacy"):
+        if self.shards and self.tier not in ("auto", "sharded-kernel"):
             raise ValueError(
                 f"tier {self.tier!r} never shards; drop shards= or pick "
-                f"'auto', 'sharded-kernel' or 'sharded'")
-        if not self.kernels and self.tier in ("compiled", "kernel",
-                                              "sharded-kernel", "mpc_kernel"):
-            raise ValueError(
-                f"kernels=False contradicts tier {self.tier!r}")
+                f"'auto' or 'sharded-kernel'")
 
-    @classmethod
-    def from_legacy(cls, engine: str,
-                    shards: Optional[int]) -> "ExecutionPlan":
-        """Normalize the deprecated ``engine=``/``shards=`` pair.
 
-        ``engine`` must already be resolved (``default_engine()`` applies
-        the ``REPRO_LEGACY_ENGINE`` construction-time default).  The
-        mapping is golden-pinned: every legacy combination resolves to
-        the same observable behavior it had before plans existed.
-        """
-        if engine not in ("csr", "legacy", "node", "sharded"):
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"use 'csr', 'legacy', 'node' or 'sharded'")
-        if shards is not None and shards < 0:
-            raise ValueError("shards must be >= 0 (0 disables sharding)")
-        if shards is not None and engine in ("legacy", "node"):
-            raise ValueError(f"shards= requires the 'csr' or 'sharded' "
-                             f"engine, not {engine!r}")
-        if engine == "legacy":
-            return cls(tier="legacy")
-        if engine == "node":
-            return cls(tier="node")
-        if engine == "sharded":
-            return cls(tier="sharded-kernel", shards=shards)
-        return cls(tier="auto", shards=shards)
-
-    def engine_name(self) -> str:
-        """The legacy engine vocabulary for this plan (delivery branch,
-        ``Subnetwork`` inheritance and old callers read ``net.engine``)."""
-        if self.tier == "legacy":
-            return "legacy"
-        if self.tier == "node":
-            return "node"
-        if self.tier in ("sharded", "sharded-kernel"):
-            return "sharded"
-        return "csr"
+def as_plan(execution: Any) -> ExecutionPlan:
+    """Normalize an ``execution=`` argument: None (the default plan), a
+    tier name, or an :class:`ExecutionPlan`."""
+    if execution is None:
+        return ExecutionPlan()
+    if isinstance(execution, str):
+        return ExecutionPlan(tier=execution)
+    if isinstance(execution, ExecutionPlan):
+        return execution
+    raise TypeError(f"execution= wants an ExecutionPlan or a tier name, "
+                    f"got {type(execution).__name__}")
 
 
 @dataclass
 class ExecutionDecision:
     """The outcome of resolving a plan for one concrete run.
 
-    ``tier`` is the selected rung (one of :data:`TIERS`); ``shards`` is
-    the worker count for the sharded tiers (None otherwise);
-    ``reasons`` is the human-readable chain (populated by
-    ``Network.explain_execution``, empty on hot-path resolutions).
+    ``tier`` is the selected rung; ``shards`` is the worker count for the
+    sharded tier (None otherwise); ``reasons`` is the human-readable chain
+    (populated by ``explain_execution``, empty on hot-path resolutions).
     ``kernel``/``kernel_cls`` carry the selected kernel for the kernel
     tiers (consumed by ``Network.run``).
     """
@@ -200,14 +142,12 @@ class ExecutionDecision:
 
 def resolve_execution(net: Any, factory: Any = None,
                       shared: Optional[Dict[str, Any]] = None,
-                      collect: bool = False,
-                      skip_sharding: bool = False) -> ExecutionDecision:
+                      collect: bool = False) -> ExecutionDecision:
     """Resolve ``net``'s plan for one run of ``factory``.
 
     The single source of truth behind ``Network.run``'s dispatch and
     ``Network.explain_execution``'s report.  ``collect=True`` records a
-    reason per considered rung; ``skip_sharding=True`` restricts the
-    ladder to single-process rungs (the ``_select_kernel`` compat shim).
+    reason per considered rung.
     """
     plan: ExecutionPlan = net.execution_plan
     reasons: List[str] = []
@@ -227,23 +167,14 @@ def resolve_execution(net: Any, factory: Any = None,
                                  reasons=tuple(reasons), kernel=kernel,
                                  kernel_cls=kernel_cls)
 
-    if plan.tier == "legacy" or net.engine == "legacy":
-        say("tier 'legacy': selected — "
-            + ("pinned by the plan" if plan.tier == "legacy"
-               else "REPRO_LEGACY_ENGINE was set when the network was "
-                    "built (engine='legacy')"))
+    if plan.tier == "legacy":
+        say("tier 'legacy': selected — pinned by the plan")
         return done("legacy")
     if plan.tier == "node":
-        say("tier 'node': selected — pinned by the plan (engine='node' "
-            "keeps batched delivery but forces per-node dispatch)")
+        say("tier 'node': selected — pinned by the plan (batched delivery, "
+            "per-node dispatch)")
         return done("node")
 
-    ladder = _LADDER[plan.tier]
-    if skip_sharding:
-        ladder = tuple(t for t in ladder
-                       if t not in ("sharded", "sharded-kernel"))
-
-    from ..congest import compiled as _compiled
     from ..congest import kernels as _kernels
     from ..congest.policies import BandwidthPolicy
 
@@ -256,64 +187,35 @@ def resolve_execution(net: Any, factory: Any = None,
         say("numpy probe: unavailable — eligible kernels run the "
             "pure-python fallback")
 
-    # -- kernel availability (both kernel tiers) ------------------------
-    kernels_on = plan.kernels
-    kernels_off_why = None
-    if not kernels_on:
-        kernels_off_why = "the plan excludes kernels (kernels=False)"
-    elif plan.env_overrides and not _kernels.kernels_enabled():
-        kernels_on = False
-        kernels_off_why = f"{_kernels.NO_KERNELS_ENV} disables kernels"
-
     kernel_cls = _kernels.kernel_for(factory) if factory is not None else None
 
-    # -- gates shared by every fast tier --------------------------------
-    base_why = None
-    if net._fault_rng is not None:
-        base_why = "fault injection needs real per-node inboxes"
-    elif type(net.policy) is not BandwidthPolicy:
-        base_why = ("the bandwidth policy is a subclass and may price "
-                    "per edge")
-    elif net.bus is not None and net.bus.wants(MESSAGE_DELIVERED):
-        base_why = "a per-message observer is subscribed"
-
+    # -- kernel gates (shared by both fast tiers) -----------------------
     kernel = None
-    kernel_why = kernels_off_why or base_why
-    if kernel_why is None:
-        if factory is None:
-            kernel_why = "no node factory was given to look up a kernel for"
-        elif kernel_cls is None:
-            name = getattr(factory, "__name__", None) or repr(factory)
-            kernel_why = (f"no RoundKernel is registered for {name} "
-                          f"(exact class match required)")
-        else:
-            kernel = kernel_cls(net)
-            if not kernel.accepts():
-                kernel = None
-                kernel_why = (f"{kernel_cls.__name__}.accepts() vetoed "
-                              f"this run")
+    kernel_why = None
+    if net._fault_rng is not None:
+        kernel_why = "fault injection needs real per-node inboxes"
+    elif type(net.policy) is not BandwidthPolicy:
+        kernel_why = ("the bandwidth policy is a subclass and may price "
+                      "per edge")
+    elif net.bus is not None and net.bus.wants(MESSAGE_DELIVERED):
+        kernel_why = "a per-message observer is subscribed"
+    elif factory is None:
+        kernel_why = "no node factory was given to look up a kernel for"
+    elif kernel_cls is None:
+        name = getattr(factory, "__name__", None) or repr(factory)
+        kernel_why = (f"no RoundKernel is registered for {name} "
+                      f"(exact class match required)")
+    else:
+        kernel = kernel_cls(net)
+        if not kernel.accepts():
+            kernel = None
+            kernel_why = f"{kernel_cls.__name__}.accepts() vetoed this run"
 
-    # -- compiled eligibility (sits on top of the kernel gates) ---------
-    compiled_why = kernel_why
-    if compiled_why is None:
-        if plan.env_overrides and not _compiled.compiled_enabled():
-            compiled_why = (f"{_compiled.NO_COMPILED_ENV} disables the "
-                            f"compiled tier")
-        else:
-            compiled_why = _compiled.unavailable_reason()
-    if compiled_why is None:
-        if getattr(net, "_rng_additive", False):
-            compiled_why = ("REPRO_ADDITIVE_NODE_RNG pins the legacy "
-                            "additive rng streams")
-        elif not getattr(kernel_cls, "compiled_audited", False):
-            compiled_why = (f"{kernel_cls.__name__} is not compiled-audited")
-        else:
-            compiled_why = kernel.compiled_why(dict(shared) if shared else {})
-
-    # -- shard eligibility (both sharded tiers) -------------------------
+    # -- shard eligibility (sits on top of the kernel gates) ------------
+    ladder = _LADDER[plan.tier]
     k = None
-    shard_why = base_why
-    if shard_why is None and not skip_sharding:
+    shard_why = kernel_why
+    if shard_why is None and "sharded-kernel" in ladder:
         from ..congest import sharding as _sharding
 
         k = _sharding.resolve_shards(net)
@@ -323,62 +225,36 @@ def resolve_execution(net: Any, factory: Any = None,
                          "the auto rules did not fire — they need "
                          f">= {_sharding.AUTO_SHARD_MIN_NODES} nodes and "
                          f">= 2 cores, with no kill switch set)")
-        elif kernel_cls is None:
-            name = (getattr(factory, "__name__", None) or repr(factory)
-                    if factory is not None else "this run")
-            shard_why = (f"shard safety is declared on a registered "
-                         f"RoundKernel, and {name} has none")
         elif not getattr(kernel_cls, "shardable", False):
             shard_why = (f"{kernel_cls.__name__} does not declare "
                          f"shardable=True (its node program is not "
                          f"audited for multi-process execution)")
+        elif not getattr(kernel_cls, "shard_words", 0):
+            shard_why = (f"{kernel_cls.__name__} has no shard hooks "
+                         f"(shard_words == 0)")
         elif shared and any(callable(v) for v in shared.values()):
             shard_why = ("shared values include callables, which cannot "
                          "cross process boundaries")
         elif n == 0:
             shard_why = "the graph is empty"
-        if shard_why is not None:
-            k = None
-        else:
-            k = min(k, n)
+        k = None if shard_why is not None else min(k, n)
 
     # -- walk the ladder ------------------------------------------------
     for rung in ladder:
-        if rung == "compiled":
-            if compiled_why is None:
-                say(f"tier 'compiled': selected — {kernel_cls.__name__} "
-                    f"runs numba-jitted over packed state")
-                return done("compiled", kernel=kernel, kernel_cls=kernel_cls)
-            say(f"tier 'compiled': skipped — {compiled_why}")
-        elif rung == "sharded-kernel":
-            if k is not None and kernel is not None \
-                    and getattr(kernel_cls, "shard_words", 0) > 0:
+        if rung == "sharded-kernel":
+            if k is not None:
                 say(f"tier 'sharded-kernel': selected — "
                     f"{kernel_cls.__name__} runs inside {k} shard "
                     f"worker(s)")
                 return done("sharded-kernel", shards=k, kernel=kernel,
                             kernel_cls=kernel_cls)
-            why = shard_why or kernel_why
-            if why is None:
-                why = (f"{kernel_cls.__name__} has no shard hooks "
-                       f"(shard_words == 0)")
-            say(f"tier 'sharded-kernel': skipped — {why}")
+            say(f"tier 'sharded-kernel': skipped — {shard_why}")
         elif rung == "kernel":
             if kernel is not None:
                 say(f"tier 'kernel': selected — {kernel_cls.__name__} "
                     f"runs in-process")
                 return done("kernel", kernel=kernel, kernel_cls=kernel_cls)
             say(f"tier 'kernel': skipped — {kernel_why}")
-        elif rung == "sharded":
-            if k is not None:
-                say(f"tier 'sharded': selected — per-node dispatch "
-                    f"inside {k} shard worker(s)")
-                return done("sharded", shards=k, kernel_cls=kernel_cls)
-            say(f"tier 'sharded': skipped — {shard_why}")
-        else:  # node
-            say("tier 'node': selected — the per-node reference path")
-            return done("node")
-    # unreachable for well-formed plans ("node" ends every fast ladder),
-    # but the skip_sharding shim can exhaust a sharded-only ladder
-    say("tier 'node': selected — every faster rung was skipped")
+    # "node" ends every fast ladder
+    say("tier 'node': selected — the per-node reference path")
     return done("node")

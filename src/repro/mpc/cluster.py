@@ -31,7 +31,7 @@ import math
 from typing import Any, Dict, List, Optional
 
 from ..models.base import MPC_MODEL, ModelExecutionError
-from ..models.execution import ExecutionDecision, ExecutionPlan
+from ..models.execution import ExecutionDecision, as_plan
 from ..observe.events import (
     ROUND_END,
     ROUND_START,
@@ -136,8 +136,8 @@ class MPCCluster:
     ``observing(...)`` bus.  ``execution=`` accepts an
     :class:`~repro.models.execution.ExecutionPlan` or tier name and is
     validated against the MPC model's own ladder (``mpc_kernel`` >
-    ``node``); the compiled/kernel/shard tiers are CONGEST engine rungs
-    and raise :class:`~repro.models.base.ModelExecutionError`.
+    ``node``); the kernel/shard tiers are CONGEST engine rungs and raise
+    :class:`~repro.models.base.ModelExecutionError`.
     """
 
     def __init__(self, graph: Any, alpha: float = 0.5, seed: int = 0,
@@ -148,16 +148,7 @@ class MPCCluster:
         self.model = MPC_MODEL
         self.metrics = Metrics()
 
-        if execution is None:
-            plan = ExecutionPlan()
-        elif isinstance(execution, str):
-            plan = ExecutionPlan(tier=execution)
-        elif isinstance(execution, ExecutionPlan):
-            plan = execution
-        else:
-            raise TypeError(
-                f"execution= wants an ExecutionPlan or a tier name, "
-                f"got {type(execution).__name__}")
+        plan = as_plan(execution)
         self.model.check_plan(plan)  # fail fast on foreign (CONGEST) rungs
         self.execution_plan = plan
 

@@ -28,8 +28,7 @@ cross the cap, the ledger replays that phase's charges in node order so
 ``(machine, needed, limit, phase)`` at the same superstep.
 
 numpy is optional at the package level: :func:`unavailable_reason`
-reports why the tier cannot run (no numpy, ``kernels=False`` plans, the
-``REPRO_NO_KERNELS`` kill switch, non-integer node ids) and
+reports why the tier cannot run (no numpy, non-integer node ids) and
 :meth:`~repro.models.base.MPCModel.resolve` surfaces that reason before
 falling through to the ``node`` rung.
 """
@@ -37,7 +36,6 @@ falling through to the ``node`` rung.
 from __future__ import annotations
 
 import math
-import os
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..dist.random_tools import _MASK64, _fold, _splitmix64
@@ -49,35 +47,20 @@ except ImportError:  # pragma: no cover - numpy-free host
     _np = None
 
 __all__ = [
-    "NO_KERNELS_ENV",
     "VectorLedger",
     "VectorPasses",
     "unavailable_reason",
     "vec_splitmix64",
 ]
 
-#: The same kill switch the CONGEST kernels honor: setting it disables
-#: every vectorized fast path in the package, this tier included.
-NO_KERNELS_ENV = "REPRO_NO_KERNELS"
 
-
-def _kernels_enabled() -> bool:
-    return os.environ.get(NO_KERNELS_ENV, "").strip() not in ("1", "true",
-                                                              "yes", "on")
-
-
-def unavailable_reason(plan: Any, graph: Any = None) -> Optional[str]:
+def unavailable_reason(graph: Any = None) -> Optional[str]:
     """Why the ``mpc_kernel`` rung cannot run (None when it can).
 
-    Mirrors the CONGEST resolution gates: plan-level exclusions first,
-    then the environment kill switch, then the numpy probe, then the
-    input-shape gate (vectorized priorities hash machine integers; exotic
-    node ids fall through to the python loops, which hash anything).
+    The numpy probe first, then the input-shape gate (vectorized
+    priorities hash machine integers; exotic node ids fall through to
+    the python loops, which hash anything).
     """
-    if not plan.kernels:
-        return "the plan excludes kernels (kernels=False)"
-    if plan.env_overrides and not _kernels_enabled():
-        return f"{NO_KERNELS_ENV} disables kernels"
     if _np is None:
         return ("numpy is not importable — the packed-array cluster "
                 "passes need it; supersteps fall through to the "

@@ -13,9 +13,9 @@ loops:
   parent's seed stream (via :func:`repro.dist.random_tools.spawn_seed`),
   :class:`~repro.congest.network.FaultSpec`, event bus (child events are
   nested under a scoped ``PhaseStart``/``PhaseEnd`` pair, so any
-  :class:`~repro.congest.profiling.Profiler` on the bus sees them), engine
-  and bandwidth policy, and its cost is folded back into the parent
-  :class:`~repro.congest.metrics.Metrics` on exit.
+  :class:`~repro.congest.profiling.Profiler` on the bus sees them),
+  execution plan and bandwidth policy, and its cost is folded back into
+  the parent :class:`~repro.congest.metrics.Metrics` on exit.
 
 * :class:`PhaseDriver` — the shared phase-loop scaffold (scoped phase
   events, augmentation events, subnetwork spawning) that the distributed
@@ -119,7 +119,6 @@ class Subnetwork:
                  policy: Optional[BandwidthPolicy] = None,
                  seed: Optional[int] = None,
                  seed_path: Tuple[Union[int, str], ...] = (),
-                 engine: Optional[str] = None,
                  execution: Any = None,
                  fold: str = "emulate",
                  emulation_factor: int = 1,
@@ -145,18 +144,6 @@ class Subnetwork:
         self.fold_traffic = fold_traffic
         self.charge_label = (charge_label if charge_label is not None
                              else f"{label}_emulation")
-        if execution is not None and engine is not None:
-            raise ValueError("pass either execution= or engine=, not both")
-        if execution is not None:
-            exec_kwargs: Dict[str, Any] = {"execution": execution}
-        elif engine is not None:
-            exec_kwargs = {"engine": engine}
-        else:
-            # Inherit the parent's full execution plan (tier, shard count,
-            # kernel gating) — not just its legacy engine name — so a
-            # Network(execution=...) choice propagates into every derived
-            # subnetwork.
-            exec_kwargs = {"execution": parent.execution_plan}
         from ..congest.network import Network
         self.network = Network(
             graph,
@@ -166,7 +153,11 @@ class Subnetwork:
                         else parent.default_max_rounds),
             observe=parent.bus,
             faults=parent.faults,
-            **exec_kwargs,
+            # the parent's full plan (tier and shard count) unless
+            # overridden, so one Network(execution=...) choice steers
+            # every derived subnetwork
+            execution=(execution if execution is not None
+                        else parent.execution_plan),
         )
         self._closed = False
         self._observed = parent.wants(PHASE_START)
@@ -385,7 +376,7 @@ def register_map(outputs: Dict[int, Any], key: str = "mate",
 def nested_network(parent: Network, graph: Any,
                    seed: Optional[int] = None,
                    policy: Optional[BandwidthPolicy] = None,
-                   engine: Optional[str] = None) -> Network:
+                   execution: Any = None) -> Network:
     """Deprecated: build a *detached* child network the pre-runtime way.
 
     This reproduces what drivers did before :class:`Subnetwork` existed —
@@ -399,5 +390,5 @@ def nested_network(parent: Network, graph: Any,
         graph,
         policy=policy if policy is not None else parent.policy,
         seed=seed if seed is not None else parent.seed,
-        engine=engine,
+        execution=execution,
     )

@@ -48,8 +48,7 @@ class Metrics:
     # single-process runs on the legacy accounts.
     shard_cut_edges: int = field(default=0, compare=False)
     shard_halo_bits: int = field(default=0, compare=False)
-    #: fixed-width halo records exchanged by kernel-mode shard workers
-    #: (zero for per-node shard runs, which ship codec-encoded messages)
+    #: fixed-width halo records exchanged by shard workers
     shard_halo_records: int = field(default=0, compare=False)
     #: max shard size * shards / n of the latest partition (1.0 = perfect)
     shard_imbalance: float = field(default=0.0, compare=False)
@@ -156,8 +155,8 @@ class Metrics:
     def record_halo_bits(self, bits: int, records: int = 0) -> None:
         """Account halo (cut-edge) traffic exchanged between shards.
 
-        ``records`` counts the fixed-width int64 records kernel-mode
-        workers published (zero in per-node mode)."""
+        ``records`` counts the fixed-width int64 records the shard
+        workers published."""
         self.shard_halo_bits += bits
         self.shard_halo_records += records
 

@@ -32,8 +32,8 @@ intersect P).  Each augmentation grows the matching, so repair terminates.
 When a batch touches a large fraction of the graph the service *escalates*:
 instead of local repair it recomputes from scratch with the static CONGEST
 drivers on a :class:`~repro.congest.network.Network` built with the
-service's :class:`~repro.congest.execution.ExecutionPlan` — so huge repair
-regions ride the same kernel/sharded tiers as static runs — and then
+service's :class:`~repro.models.execution.ExecutionPlan` — so huge repair
+regions ride the same kernel tiers as static runs — and then
 certifies the invariant with a free-node-seeded repair pass.
 
 Observability mirrors the static API: ``observe=``/``trace=``/``profile=``
@@ -62,6 +62,8 @@ from ..observe.events import (
     Repair,
     ambient_bus,
 )
+from ..models.base import CONGEST_MODEL
+from ..models.execution import as_plan
 from ..observe.profiling import ObservabilityScope
 from ..runtime import ProtocolResult
 from ..dist.random_tools import spawn_seed
@@ -206,11 +208,15 @@ class MatchingService:
             raise ValueError(f"repair must be 'fast' or 'legacy', got {repair!r}")
         if batch is not None and batch < 1:
             raise ValueError("batch must be a positive update count")
+        # recompute escalations run on CONGEST networks: reject a foreign
+        # or unknown tier now, not after a batch is half applied
+        plan = as_plan(execution)
+        CONGEST_MODEL.check_plan(plan)
         self.k = k
         self.seed = seed
         self.name = name
         self.batch = batch
-        self.execution = execution
+        self.execution = plan
         self.max_rounds = max_rounds
         self.recompute_fraction = recompute_fraction
         self.recompute_min_seeds = recompute_min_seeds

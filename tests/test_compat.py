@@ -4,9 +4,7 @@ Every ``DeprecationWarning`` the package emits is registered in
 ``repro._compat.SHIM_MESSAGES``.  This module is the single place the
 shim surface is pinned: each shim's *exact* warning text (asserted
 verbatim, not by substring) and its delegation target — what the
-deprecated spelling actually runs.  The legacy ``engine=``/``shards=``
-pair is a silent shim normalized by ``ExecutionPlan.from_legacy``; its
-golden mapping is pinned here alongside the warning shims.
+deprecated spelling actually runs.
 """
 
 import random
@@ -30,7 +28,6 @@ from repro.dist.weighted.hv_local import hv_mwm
 from repro.dist.generic_mcm import generic_mcm
 from repro.dynamic import DynamicMatcher
 from repro.graphs import gnp, path_graph, uniform_weights
-from repro.models.execution import ExecutionPlan
 
 
 def _warns_exactly(shim, **fmt):
@@ -142,27 +139,3 @@ class TestWarningTextAndDelegation:
             result = generic_mcm(g, k=2, seed=0, subnetworks="detached")
         assert result.matching.size > 0
 
-
-class TestLegacyEnginePlan:
-    """The silent shim: engine=/shards= normalize via from_legacy."""
-
-    @pytest.mark.parametrize("engine,shards,tier,plan_shards", [
-        ("legacy", None, "legacy", None),
-        ("node", None, "node", None),
-        ("csr", None, "auto", None),
-        ("csr", 4, "auto", 4),
-        ("sharded", None, "sharded-kernel", None),
-        ("sharded", 2, "sharded-kernel", 2),
-    ])
-    def test_golden_mapping(self, engine, shards, tier, plan_shards):
-        plan = ExecutionPlan.from_legacy(engine, shards)
-        assert plan.tier == tier
-        assert plan.shards == plan_shards
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ExecutionPlan.from_legacy("gpu", None)
-
-    def test_rejects_shards_on_per_node_engines(self):
-        with pytest.raises(ValueError, match="shards="):
-            ExecutionPlan.from_legacy("legacy", 2)

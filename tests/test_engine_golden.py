@@ -3,10 +3,10 @@
 The CSR engine must be *bit-identical* to the dict reference: same matching,
 same round counts, same message/bit accounting, same per-node rng streams.
 The matrix below runs each paper algorithm under both engines and both
-bandwidth models and compares everything observable.
+bandwidth models and compares everything observable.  The dict engine is
+reachable only as ``execution="legacy"``; every other plan delivers on the
+CSR engine (``"auto"`` below, the default plan).
 """
-
-import os
 
 import pytest
 
@@ -15,11 +15,10 @@ from repro.congest import (
     CONGEST,
     LOCAL,
     PIPELINE,
-    LEGACY_ENGINE_ENV,
+    ExecutionPlan,
     Network,
     NodeAlgorithm,
     Tracer,
-    default_engine,
 )
 from repro.congest.faults import LossyNetwork
 from repro.dist.bipartite_mcm import bipartite_mcm
@@ -33,23 +32,23 @@ def _metrics_tuple(m):
     return (m.total_rounds, m.messages, m.total_bits, m.max_message_bits)
 
 
-def _run_bipartite(engine, policy):
+def _run_bipartite(execution, policy):
     g = random_bipartite(14, 14, 0.2, rng=7)
-    net = Network(g, policy=policy, seed=3, engine=engine)
+    net = Network(g, policy=policy, seed=3, execution=execution)
     res = bipartite_mcm(g, k=2, seed=3, network=net)
     return set(res.matching.edges()), _metrics_tuple(net.metrics)
 
 
-def _run_general(engine, policy):
+def _run_general(execution, policy):
     g = gnp(22, 0.15, rng=5)
-    net = Network(g, policy=policy, seed=1, engine=engine)
+    net = Network(g, policy=policy, seed=1, execution=execution)
     res = general_mcm(g, k=2, seed=1, network=net)
     return set(res.matching.edges()), _metrics_tuple(net.metrics)
 
 
-def _run_algorithm5(engine, policy):
+def _run_algorithm5(execution, policy):
     g = gnp(20, 0.2, rng=2, weight_fn=exponential_weights(8))
-    net = Network(g, policy=policy, seed=4, engine=engine)
+    net = Network(g, policy=policy, seed=4, execution=execution)
     res = approximate_mwm(g, eps=0.1, seed=4, network=net)
     return set(res.matching.edges()), _metrics_tuple(net.metrics)
 
@@ -64,6 +63,10 @@ MATRIX = [(name, policy)
           for name, (_, policies) in sorted(RUNNERS.items())
           for policy in policies]
 
+#: the dict engine and the CSR engine, as plans (ids name the engines)
+ENGINES = ["legacy", "auto"]
+ENGINE_IDS = ["legacy", "csr"]
+
 
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("name,policy", MATRIX,
@@ -71,34 +74,13 @@ class TestGoldenEquivalence:
     def test_legacy_and_csr_agree(self, name, policy):
         runner, _ = RUNNERS[name]
         edges_legacy, metrics_legacy = runner("legacy", policy)
-        edges_csr, metrics_csr = runner("csr", policy)
+        edges_csr, metrics_csr = runner("auto", policy)
         assert edges_csr == edges_legacy
         assert metrics_csr == metrics_legacy
 
-    def test_env_var_selects_legacy(self, monkeypatch):
-        monkeypatch.setenv(LEGACY_ENGINE_ENV, "1")
-        assert default_engine() == "legacy"
-        net = Network(path_graph(4))
-        assert net.engine == "legacy"
-        monkeypatch.setenv(LEGACY_ENGINE_ENV, "0")
-        assert default_engine() == "csr"
-        monkeypatch.delenv(LEGACY_ENGINE_ENV)
-        assert default_engine() == "csr"
-
-    def test_env_var_run_matches_csr(self, monkeypatch):
-        edges_csr, metrics_csr = _run_bipartite(None, PIPELINE)
-        monkeypatch.setenv(LEGACY_ENGINE_ENV, "true")
-        edges_env, metrics_env = _run_bipartite(None, PIPELINE)
-        assert edges_env == edges_csr
-        assert metrics_env == metrics_csr
-
-    def test_explicit_engine_beats_env(self, monkeypatch):
-        monkeypatch.setenv(LEGACY_ENGINE_ENV, "1")
-        assert Network(path_graph(3), engine="csr").engine == "csr"
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            Network(path_graph(3), engine="simd")
+            Network(path_graph(3), execution="simd")
 
 
 class EchoNode(NodeAlgorithm):
@@ -127,10 +109,10 @@ class MixedNode(NodeAlgorithm):
 class TestArrivalOrder:
     """Satellite 3: message-arrival order is a stable, documented invariant."""
 
-    @pytest.mark.parametrize("engine", ["legacy", "csr"])
-    def test_inbox_keys_ascend(self, engine):
+    @pytest.mark.parametrize("execution", ENGINES, ids=ENGINE_IDS)
+    def test_inbox_keys_ascend(self, execution):
         g = gnp(12, 0.4, rng=9)
-        net = Network(g, policy=LOCAL, engine=engine)
+        net = Network(g, policy=LOCAL, execution=execution)
         res = net.run(EchoNode)
         for node, seen in res.outputs.items():
             senders = [u for u, _ in seen]
@@ -139,9 +121,9 @@ class TestArrivalOrder:
 
     def test_traced_run_matches_untraced(self):
         g = gnp(10, 0.35, rng=3)
-        plain = Network(g, policy=LOCAL, engine="csr").run(EchoNode)
+        plain = Network(g, policy=LOCAL).run(EchoNode)
         tracer = Tracer()
-        traced_net = Network(g, policy=LOCAL, engine="csr", tracer=tracer)
+        traced_net = Network(g, policy=LOCAL, tracer=tracer)
         traced = traced_net.run(EchoNode)
         assert traced.outputs == plain.outputs
         assert traced.rounds == plain.rounds
@@ -153,18 +135,18 @@ class TestArrivalOrder:
         for senders in by_round.values():
             assert senders == sorted(senders)
 
-    @pytest.mark.parametrize("engine", ["legacy", "csr"])
-    def test_mixed_outbox_unicast_overrides_broadcast(self, engine):
+    @pytest.mark.parametrize("execution", ENGINES, ids=ENGINE_IDS)
+    def test_mixed_outbox_unicast_overrides_broadcast(self, execution):
         g = path_graph(4)  # 0-1-2-3
-        net = Network(g, policy=LOCAL, engine=engine)
+        net = Network(g, policy=LOCAL, execution=execution)
         res = net.run(MixedNode)
         # node 1's unicast to 0 replaces its broadcast there
         assert dict(res.outputs[0])[1] == -1
         # node 2 still gets node 1's broadcast
         assert dict(res.outputs[2])[1] == 1
 
-    @pytest.mark.parametrize("engine", ["legacy", "csr"])
-    def test_non_neighbor_unicast_rejected(self, engine):
+    @pytest.mark.parametrize("execution", ENGINES, ids=ENGINE_IDS)
+    def test_non_neighbor_unicast_rejected(self, execution):
         from repro.congest import ProtocolError
 
         class Stray(NodeAlgorithm):
@@ -175,7 +157,8 @@ class TestArrivalOrder:
                 return self.halt(None)
 
         with pytest.raises(ProtocolError):
-            Network(path_graph(3), policy=LOCAL, engine=engine).run(Stray)
+            Network(path_graph(3), policy=LOCAL,
+                    execution=execution).run(Stray)
 
 
 class TestRunResultAndHooks:
@@ -190,10 +173,10 @@ class TestRunResultAndHooks:
         # the per-run delta excludes the israeli_itai run before it
         assert net.metrics.total_rounds == first_total + res.rounds
 
-    @pytest.mark.parametrize("engine", ["legacy", "csr"])
-    def test_on_round_end_fires_each_round(self, engine):
+    @pytest.mark.parametrize("execution", ENGINES, ids=ENGINE_IDS)
+    def test_on_round_end_fires_each_round(self, execution):
         g = gnp(8, 0.4, rng=4)
-        net = Network(g, policy=LOCAL, engine=engine)
+        net = Network(g, policy=LOCAL, execution=execution)
         seen = []
         res = net.run(EchoNode,
                       on_round_end=lambda r, n: seen.append(
@@ -206,7 +189,7 @@ class TestRunResultAndHooks:
     def test_lossy_network_runs_on_csr(self):
         g = gnp(12, 0.4, rng=6)
         lossy = LossyNetwork(g, loss=0.3, policy=LOCAL, seed=0)
-        assert lossy.engine == "csr"
+        assert lossy.execution_plan == ExecutionPlan()
         res = lossy.run(EchoNode)
         assert res.all_finished
         assert lossy.dropped > 0  # at 30% loss something must have been lost

@@ -19,6 +19,7 @@ from repro.congest import (
     Augmentation,
     CheckerVerdict,
     EventBus,
+    ExecutionPlan,
     FaultSpec,
     JsonlTraceWriter,
     MessageDelivered,
@@ -160,7 +161,8 @@ class TestObserversDoNotPerturbRuns:
         g = gnp(10, 0.3, rng=1)
         plain = Network(g)
         observed = Network(g, observe=Collect())
-        assert observed.engine == plain.engine == "csr"
+        assert observed.execution_plan == plain.execution_plan
+        assert plain.execution_plan == ExecutionPlan()
 
     def test_observed_run_is_bit_identical(self):
         g = random_bipartite(10, 10, 0.3, rng=2)
@@ -173,11 +175,12 @@ class TestObserversDoNotPerturbRuns:
             plain_net.metrics.total_rounds
         assert observed_net.metrics.total_bits == plain_net.metrics.total_bits
 
-    @pytest.mark.parametrize("engine", ["legacy", "csr"])
-    def test_round_events_bracket_every_round(self, engine):
+    @pytest.mark.parametrize("execution", ["legacy", "auto"],
+                             ids=["legacy", "csr"])
+    def test_round_events_bracket_every_round(self, execution):
         g = gnp(8, 0.4, rng=3)
         collector = Collect(kinds=(RoundStart, RoundEnd))
-        net = Network(g, seed=0, engine=engine, observe=collector)
+        net = Network(g, seed=0, execution=execution, observe=collector)
         israeli_itai(net)
         starts = collector.of(RoundStart)
         ends = collector.of(RoundEnd)
@@ -190,10 +193,10 @@ class TestObserversDoNotPerturbRuns:
 class TestGoldenEventStream:
     """Both engines emit the identical event sequence for a seeded run."""
 
-    def _message_stream(self, engine, faults=None):
+    def _message_stream(self, execution, faults=None):
         g = random_bipartite(12, 12, 0.25, rng=4)
         collector = Collect(kinds=(MessageDelivered,))
-        net = Network(g, policy=LOCAL, seed=7, engine=engine,
+        net = Network(g, policy=LOCAL, seed=7, execution=execution,
                       observe=collector, faults=faults)
         if faults is None:
             israeli_itai(net)
@@ -203,17 +206,17 @@ class TestGoldenEventStream:
 
     def test_legacy_and_csr_emit_identical_messages(self):
         legacy = self._message_stream("legacy")
-        csr = self._message_stream("csr")
+        csr = self._message_stream("auto")
         assert legacy == csr
         assert legacy  # non-empty
 
     def test_identical_under_fault_injection(self):
         faults = FaultSpec(loss=0.2)
         legacy = self._message_stream("legacy", faults=faults)
-        csr = self._message_stream("csr", faults=faults)
+        csr = self._message_stream("auto", faults=faults)
         assert legacy == csr
         # fault injection really removed messages from the stream
-        assert len(legacy) < len(self._message_stream("csr",
+        assert len(legacy) < len(self._message_stream("auto",
                                                       FaultSpec(loss=0.0)))
 
 

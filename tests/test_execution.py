@@ -1,11 +1,11 @@
 """The unified ``execution=`` plan API.
 
-Covers the :class:`~repro.congest.execution.ExecutionPlan` object itself,
-the ``Network(execution=...)`` keyword, the golden-pinned legacy shims
-(``engine=``/``shards=``/``REPRO_*``), ``Network.explain_execution()``'s
-reason chains for every tier, plan inheritance into subnetworks,
-kernel-fallback golden equivalence under sharding, and the zero-copy
-halo-view mechanics the sharded-kernel tier is built on.
+Covers the :class:`~repro.models.execution.ExecutionPlan` object itself,
+the ``Network(execution=...)`` keyword, ``REPRO_SHARDS``,
+``Network.explain_execution()``'s reason chains for every tier, plan
+inheritance into subnetworks, numpy-fallback golden equivalence under
+sharding, and the zero-copy halo-view mechanics the sharded-kernel tier
+is built on.
 """
 
 import dataclasses
@@ -22,8 +22,6 @@ from repro.congest import (
     CONGEST,
     LOCAL,
     ExecutionPlan,
-    LEGACY_ENGINE_ENV,
-    NO_KERNELS_ENV,
     Network,
     SHARDS_ENV,
     TIERS,
@@ -58,20 +56,31 @@ class TestExecutionPlan:
         plan = ExecutionPlan()
         assert plan.tier == "auto"
         assert plan.shards is None
-        assert plan.kernels is True
-        assert plan.env_overrides is True
+        # one knob: the tier-choosing fields and keywords are gone
+        assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
+            "tier", "shards"]
+        with pytest.raises(TypeError):
+            ExecutionPlan(kernels=False)
+        with pytest.raises(TypeError):
+            Network(path_graph(3), engine="node")
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExecutionPlan().tier = "node"
 
     def test_tier_vocabulary(self):
-        assert TIERS == ("compiled", "sharded-kernel", "kernel", "sharded",
-                         "node", "legacy")
+        assert TIERS == ("sharded-kernel", "kernel", "node", "legacy")
         for tier in TIERS:
             assert ExecutionPlan(tier=tier).tier == tier
         with pytest.raises(ValueError):
             ExecutionPlan(tier="warp")
+        # the deleted compiled and per-node sharded rungs are unknown
+        # tiers now, and the error names the ones that survive
+        for gone in ("compiled", "sharded"):
+            with pytest.raises(ValueError, match="'auto' or one of "
+                               "sharded-kernel, kernel, mpc_kernel, node, "
+                               "legacy"):
+                ExecutionPlan(tier=gone)
 
     def test_all_tiers_cover_every_model(self):
         # plans validate against the union vocabulary; model-specific
@@ -88,37 +97,6 @@ class TestExecutionPlan:
         for tier in ("kernel", "mpc_kernel", "node", "legacy"):
             with pytest.raises(ValueError):
                 ExecutionPlan(tier=tier, shards=2)
-        for tier in ("kernel", "sharded-kernel", "mpc_kernel"):
-            with pytest.raises(ValueError):
-                ExecutionPlan(tier=tier, kernels=False)
-
-    @pytest.mark.parametrize("engine,shards,expect", [
-        ("csr", None, ExecutionPlan()),
-        ("csr", 2, ExecutionPlan(shards=2)),
-        ("csr", 0, ExecutionPlan(shards=0)),
-        ("sharded", None, ExecutionPlan(tier="sharded-kernel")),
-        ("sharded", 3, ExecutionPlan(tier="sharded-kernel", shards=3)),
-        ("node", None, ExecutionPlan(tier="node")),
-        ("legacy", None, ExecutionPlan(tier="legacy")),
-    ])
-    def test_from_legacy_mapping(self, engine, shards, expect):
-        assert ExecutionPlan.from_legacy(engine, shards) == expect
-
-    def test_from_legacy_rejects_bad_combos(self):
-        with pytest.raises(ValueError):
-            ExecutionPlan.from_legacy("turbo", None)
-        for engine in ("node", "legacy"):
-            with pytest.raises(ValueError):
-                ExecutionPlan.from_legacy(engine, 2)
-
-    @pytest.mark.parametrize("tier,engine", [
-        ("auto", "csr"), ("sharded-kernel", "sharded"),
-        ("kernel", "csr"), ("sharded", "sharded"),
-        ("node", "node"), ("legacy", "legacy"),
-    ])
-    def test_engine_name_round_trip(self, tier, engine):
-        shards = 2 if engine == "sharded" else None
-        assert ExecutionPlan(tier=tier, shards=shards).engine_name() == engine
 
 
 # --- the Network keyword --------------------------------------------------
@@ -130,39 +108,17 @@ class TestNetworkKeyword:
     def test_tier_name_shorthand(self):
         net = self._net(execution="node")
         assert net.execution_plan == ExecutionPlan(tier="node")
-        assert net.engine == "node"
 
     def test_full_plan(self):
         plan = ExecutionPlan(tier="sharded-kernel", shards=2)
         net = self._net(execution=plan)
         assert net.execution_plan is plan
-        assert net.engine == "sharded"
-        assert net.requested_shards == 2
-
-    def test_mutually_exclusive_with_legacy_kwargs(self):
-        with pytest.raises(ValueError):
-            self._net(execution="node", engine="csr")
-        with pytest.raises(ValueError):
-            self._net(execution="node", shards=2)
 
     def test_rejects_garbage(self):
         with pytest.raises(TypeError):
             self._net(execution=42)
         with pytest.raises(ValueError):
             self._net(execution="warp")
-
-    def test_legacy_kwargs_normalize_into_a_plan(self):
-        net = self._net(engine="sharded", shards=3)
-        assert net.execution_plan == ExecutionPlan(tier="sharded-kernel",
-                                                   shards=3)
-        assert net.engine == "sharded"
-        assert net.requested_shards == 3
-
-    def test_legacy_env_default(self, monkeypatch):
-        monkeypatch.setenv(LEGACY_ENGINE_ENV, "1")
-        net = self._net()
-        assert net.execution_plan == ExecutionPlan(tier="legacy")
-        assert net.engine == "legacy"
 
     def test_run_facade_accepts_execution(self):
         from repro.graphs import random_bipartite
@@ -210,20 +166,24 @@ class TestExplainExecution:
         assert decision.shards == 2
         assert any("2 shard" in r for r in decision.reasons)
 
-    def test_sharded_per_node_tier(self):
-        decision = self._explain(
-            execution=ExecutionPlan(tier="sharded", shards=2))
-        assert decision.tier == "sharded"
-        assert decision.shards == 2
-        assert any("per-node dispatch" in r for r in decision.reasons)
-
     def test_auto_on_a_small_host_graph(self):
-        # 30 nodes is below the auto-shard threshold: the sharded rungs
-        # are skipped with a reason and the in-process kernel wins
+        # 30 nodes is below the auto-shard threshold: the sharded rung is
+        # skipped with a reason and the in-process kernel wins
         decision = self._explain()
         assert decision.tier == "kernel"
-        assert any(r.startswith("tier 'sharded-kernel': skipped")
-                   for r in decision.reasons)
+        probe = ("numpy probe: available — eligible kernels run their "
+                 "vectorized branch" if kernels_mod._np is not None else
+                 "numpy probe: unavailable — eligible kernels run the "
+                 "pure-python fallback")
+        assert decision.reasons == (
+            "model 'congest': resolving plan tier 'auto' on the CONGEST "
+            "execution ladder (sharded-kernel > kernel > node > legacy)",
+            probe,
+            "tier 'sharded-kernel': skipped — no shard count resolved (not "
+            "requested, and the auto rules did not fire — they need >= "
+            "4096 nodes and >= 2 cores, with no kill switch set)",
+            "tier 'kernel': selected — LubyMISKernel runs in-process",
+        )
 
     def test_no_factory_reason(self):
         decision = self._net().explain_execution()
@@ -245,26 +205,9 @@ class TestExplainExecution:
         assert any("kill switch" in r or "no shard count resolved" in r
                    for r in decision.reasons)
 
-    def test_plan_without_kernels(self):
-        decision = self._explain(execution=ExecutionPlan(kernels=False))
-        assert decision.tier == "node"
-        assert any("kernels=False" in r for r in decision.reasons)
-
-    def test_env_kill_switch_honored_by_default(self, monkeypatch):
-        monkeypatch.setenv(NO_KERNELS_ENV, "1")
-        decision = self._explain()
-        assert decision.tier == "node"
-        assert any(NO_KERNELS_ENV in r for r in decision.reasons)
-
-    def test_env_overrides_false_ignores_the_env(self, monkeypatch):
-        monkeypatch.setenv(NO_KERNELS_ENV, "1")
-        decision = self._explain(
-            execution=ExecutionPlan(env_overrides=False))
-        assert decision.tier == "kernel"
-
     def test_numpy_probe_reported(self):
-        # satellite of the compiled tier: the availability probe that
-        # decides vectorized-vs-fallback is named in every chain
+        # the availability probe that decides vectorized-vs-fallback is
+        # named in every chain
         decision = self._explain()
         assert any(r.startswith("numpy probe: available — eligible "
                                 "kernels run their vectorized branch")
@@ -276,55 +219,6 @@ class TestExplainExecution:
         assert any(r.startswith("numpy probe: unavailable — eligible "
                                 "kernels run the pure-python fallback")
                    for r in decision.reasons)
-
-    def test_compiled_skipped_without_numba(self):
-        from repro.congest import compiled as compiled_mod
-        if compiled_mod._numba is not None:  # pragma: no cover
-            pytest.skip("numba installed on this host")
-        decision = self._explain()
-        assert decision.tier == "kernel"
-        assert any(r == "tier 'compiled': skipped — numba is not "
-                        "importable (install the repro[compiled] extra)"
-                   for r in decision.reasons)
-
-    def test_compiled_selected_when_numba_is_live(self, monkeypatch):
-        from repro.congest import compiled as compiled_mod
-        monkeypatch.setattr(compiled_mod, "_numba", object())
-        decision = self._explain()
-        assert decision.tier == "compiled"
-        assert any(r == "tier 'compiled': selected — LubyMISKernel runs "
-                        "numba-jitted over packed state"
-                   for r in decision.reasons)
-
-    def test_compiled_env_kill_switch(self, monkeypatch):
-        from repro.congest import NO_COMPILED_ENV
-        from repro.congest import compiled as compiled_mod
-        monkeypatch.setattr(compiled_mod, "_numba", object())
-        monkeypatch.setenv(NO_COMPILED_ENV, "1")
-        decision = self._explain()
-        assert decision.tier == "kernel"
-        assert any(NO_COMPILED_ENV in r and "compiled" in r
-                   for r in decision.reasons)
-
-    def test_compiled_requires_the_audit_flag(self, monkeypatch):
-        from repro.congest import compiled as compiled_mod
-        from repro.congest.kernels import kernel_for
-        monkeypatch.setattr(compiled_mod, "_numba", object())
-        monkeypatch.setattr(kernel_for(LubyMISNode),
-                            "compiled_audited", False)
-        decision = self._explain()
-        assert decision.tier == "kernel"
-        assert any("LubyMISKernel is not compiled-audited" in r
-                   for r in decision.reasons)
-
-    def test_compiled_respects_additive_rng_pin(self, monkeypatch):
-        from repro.congest import compiled as compiled_mod
-        monkeypatch.setattr(compiled_mod, "_numba", object())
-        monkeypatch.setenv("REPRO_ADDITIVE_NODE_RNG", "1")
-        decision = self._explain()
-        assert decision.tier == "kernel"
-        assert any("REPRO_ADDITIVE_NODE_RNG pins the legacy additive "
-                   "rng streams" in r for r in decision.reasons)
 
     def test_explain_formats_the_chain(self):
         decision = self._explain(
@@ -386,22 +280,6 @@ class TestMPCLadderExplain:
             assert decision.reasons[1].startswith(
                 "tier 'mpc_kernel': skipped — ")
 
-    def test_kernels_false_chain_exact(self):
-        decision = self._cluster(
-            execution=ExecutionPlan(kernels=False)).explain_execution()
-        cluster = self._cluster(execution="node")
-        assert decision.tier == "node"
-        assert decision.reasons == (
-            "model 'mpc': resolving plan tier 'auto' on the MPC "
-            "execution ladder (mpc_kernel > node)",
-            "tier 'mpc_kernel': skipped — the plan excludes kernels "
-            "(kernels=False)",
-            "tier 'node': selected — supersteps execute in-process on "
-            "simulated machines (per-machine memory guard "
-            f"S = {cluster.machine_words} words, "
-            f"{cluster.num_machines} machine(s))",
-        )
-
     def test_congest_network_rejects_the_mpc_rung(self):
         from repro.models import ModelExecutionError
 
@@ -409,43 +287,16 @@ class TestMPCLadderExplain:
             Network(path_graph(6), execution="mpc_kernel")
 
 
-# --- legacy shims resolve identically (golden) ----------------------------
-
-SHIM_COMBOS = [
-    pytest.param({"engine": "csr"}, {"execution": ExecutionPlan()},
-                 id="csr"),
-    pytest.param({"engine": "csr", "shards": 2},
-                 {"execution": ExecutionPlan(shards=2)}, id="csr-shards2"),
-    pytest.param({"engine": "csr", "shards": 0},
-                 {"execution": ExecutionPlan(shards=0)}, id="csr-shards0"),
-    pytest.param({"engine": "sharded"},
-                 {"execution": ExecutionPlan(tier="sharded-kernel")},
-                 id="sharded"),
-    pytest.param({"engine": "sharded", "shards": 3},
-                 {"execution": ExecutionPlan(tier="sharded-kernel",
-                                             shards=3)}, id="sharded-3"),
-    pytest.param({"engine": "node"}, {"execution": "node"}, id="node"),
-    pytest.param({"engine": "legacy"}, {"execution": "legacy"},
-                 id="legacy"),
-]
-
+# --- REPRO_SHARDS and sharded goldens ----------------------------------
 
 class TestShimGoldens:
-    @pytest.mark.parametrize("legacy,plan", SHIM_COMBOS)
-    def test_resolution_identical(self, legacy, plan):
-        g = gnp(30, 0.2, rng=0)
-        old = Network(g, policy=LOCAL, seed=0, **legacy)
-        new = Network(g, policy=LOCAL, seed=0, **plan)
-        d_old = old.explain_execution(LubyMISNode)
-        d_new = new.explain_execution(LubyMISNode)
-        assert (d_old.tier, d_old.shards) == (d_new.tier, d_new.shards)
-        assert old.execution_plan == new.execution_plan
-        assert old.engine == new.engine
+    """``REPRO_SHARDS``, the one environment knob left on the plan path,
+    and shard-count goldens."""
 
     def test_env_shards_forces_both_paths(self, monkeypatch):
         monkeypatch.setenv(SHARDS_ENV, "2")
         g = gnp(30, 0.2, rng=0)
-        for kwargs in ({"engine": "csr"}, {"execution": ExecutionPlan()}):
+        for kwargs in ({}, {"execution": ExecutionPlan()}):
             net = Network(g, policy=LOCAL, seed=0, **kwargs)
             assert resolve_shards(net) == 2
         monkeypatch.setenv(SHARDS_ENV, "0")
@@ -454,16 +305,8 @@ class TestShimGoldens:
                                               shards=4))
         assert resolve_shards(net) is None
 
-    def test_env_overrides_false_shields_the_plan(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "0")
-        net = Network(gnp(30, 0.2, rng=0), policy=LOCAL, seed=0,
-                      execution=ExecutionPlan(tier="sharded-kernel",
-                                              shards=4, env_overrides=False))
-        assert resolve_shards(net) == 4
-
     def test_behavior_identical_under_sharding(self):
-        golden = _run_israeli(7, engine="csr")
-        assert _run_israeli(7, engine="sharded", shards=2) == golden
+        golden = _run_israeli(7)
         assert _run_israeli(
             7, execution=ExecutionPlan(tier="sharded-kernel",
                                        shards=2)) == golden
@@ -480,14 +323,6 @@ class TestSubnetworkPlan:
         parent = self._parent(execution=plan)
         sub = parent.subnetwork(path_graph(4), label="probe")
         assert sub.network.execution_plan is plan
-        assert sub.network.engine == "sharded"
-        assert sub.network.requested_shards == 2
-
-    def test_engine_override_still_works(self):
-        parent = self._parent(execution="node")
-        sub = parent.subnetwork(path_graph(4), label="probe", engine="csr")
-        assert sub.network.execution_plan == ExecutionPlan()
-        assert sub.network.engine == "csr"
 
     def test_execution_override(self):
         parent = self._parent()
@@ -495,40 +330,19 @@ class TestSubnetworkPlan:
                                 execution="legacy")
         assert sub.network.execution_plan == ExecutionPlan(tier="legacy")
 
-    def test_override_conflict_rejected(self):
-        parent = self._parent()
-        with pytest.raises(ValueError):
-            parent.subnetwork(path_graph(4), label="probe",
-                              engine="csr", execution="node")
-
 
 # --- kernel fallbacks stay golden under sharding --------------------------
 
 class TestFallbackGoldens:
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_no_kernels_env_sharded_matches(self, shards, monkeypatch):
-        golden = _run_israeli(3, engine="csr")
-        monkeypatch.setenv(NO_KERNELS_ENV, "1")
-        # same per-node semantics with and without kernels, sharded or not
-        assert _run_israeli(3, engine="csr") == golden
-        sharded = _run_israeli(3, engine="sharded", shards=shards)
-        assert sharded == golden
-
-    def test_no_kernels_resolves_to_per_node_sharding(self, monkeypatch):
-        monkeypatch.setenv(NO_KERNELS_ENV, "1")
-        net = Network(gnp(30, 0.2, rng=0), policy=LOCAL, seed=0,
-                      execution=ExecutionPlan(shards=2))
-        decision = net.explain_execution(LubyMISNode)
-        assert decision.tier == "sharded"
-
-    @pytest.mark.parametrize("shards", [1, 2])
     def test_numpy_free_sharded_matches(self, shards, monkeypatch):
-        golden = _run_israeli(5, engine="csr")
+        golden = _run_israeli(5)
         # workers are forked after the patch, so they inherit the pure
         # python array paths exactly like a host without numpy
         monkeypatch.setattr(kernels_mod, "_np", None)
-        assert _run_israeli(5, engine="csr") == golden
-        assert _run_israeli(5, engine="sharded", shards=shards) == golden
+        assert _run_israeli(5) == golden
+        assert _run_israeli(5, execution=ExecutionPlan(
+            tier="sharded-kernel", shards=shards)) == golden
 
 
 # --- zero-copy halo views -------------------------------------------------

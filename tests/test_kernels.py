@@ -4,9 +4,10 @@ A registered :class:`~repro.congest.kernels.RoundKernel` must be
 *bit-identical* to per-node dispatch: same outputs, same round counts, same
 :class:`~repro.congest.metrics.Metrics`, same per-node random streams, same
 structural event stream.  The matrix below runs every kernelized protocol
-under both paths (``engine="csr"`` selects the kernel, ``engine="node"``
-forces per-node dispatch on the same batched delivery engine) and compares
-everything observable — with numpy and on the pure-python fallback.
+under both paths (``execution="auto"`` selects the kernel,
+``execution="node"`` forces per-node dispatch on the same batched delivery
+engine) and compares everything observable — with numpy and on the
+pure-python fallback.
 
 The second half pins the *selection* rules: every condition that must force
 the slow path actually does, and the fast path engages when nothing does.
@@ -34,7 +35,6 @@ from repro.congest import (
     Subnetwork,
     congest,
     kernel_for,
-    kernels_enabled,
 )
 from repro.congest import kernels
 from repro.dist.bipartite_counting import (
@@ -72,17 +72,18 @@ class Collect:
         self.events.append(event)
 
 
-# --- workloads (engine is the only degree of freedom) -------------------
+# --- workloads (the execution tier is the only degree of freedom) -------
 
-def _run_israeli(engine, policy, seed, observe=None):
+def _run_israeli(execution, policy, seed, observe=None):
     g = gnp(48, 0.12, rng=seed)
-    net = Network(g, policy=policy, seed=seed, engine=engine,
+    net = Network(g, policy=policy, seed=seed, execution=execution,
                   observe=observe)
     matching = israeli_itai(net)
     return set(matching.edges()), _metrics_tuple(net.metrics)
 
 
-def _run_israeli_constrained(engine, policy, seed, observe=None):
+def _run_israeli_constrained(execution, policy, seed,
+                             observe=None):
     """Israeli-Itai with a seed matching and an allowed-edge subgraph."""
     g = gnp(48, 0.12, rng=seed)
     edges = sorted((u, v) for u in g.nodes for v in g.neighbors(u) if u < v)
@@ -93,16 +94,16 @@ def _run_israeli_constrained(engine, policy, seed, observe=None):
             initial.add(u, v)
             used.update((u, v))
     allowed = set(edges[::2]) | set(edges[:6])
-    net = Network(g, policy=policy, seed=seed, engine=engine,
+    net = Network(g, policy=policy, seed=seed, execution=execution,
                   observe=observe)
     matching = israeli_itai(net, initial=initial, allowed_edges=allowed)
     assert all(matching.mate(u) == v for u, v in initial.edges())
     return set(matching.edges()), _metrics_tuple(net.metrics)
 
 
-def _run_luby(engine, policy, seed, observe=None):
+def _run_luby(execution, policy, seed, observe=None):
     g = gnp(56, 0.1, rng=seed)
-    net = Network(g, policy=policy, seed=seed, engine=engine,
+    net = Network(g, policy=policy, seed=seed, execution=execution,
                   observe=observe)
     mis = luby_mis(net)
     return frozenset(mis), _metrics_tuple(net.metrics)
@@ -124,9 +125,9 @@ def _counting_instance(seed):
     return g, side, mate
 
 
-def _run_counting(engine, policy, seed, observe=None, ell=4):
+def _run_counting(execution, policy, seed, observe=None, ell=4):
     g, side, mate = _counting_instance(seed)
-    net = Network(g, policy=policy, seed=seed, engine=engine,
+    net = Network(g, policy=policy, seed=seed, execution=execution,
                   observe=observe)
     outputs = run_counting(net, side, mate, ell)
     frozen = tuple(
@@ -156,7 +157,7 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("name,policy,seed", MATRIX)
     def test_kernel_matches_per_node_path(self, name, policy, seed):
         runner = WORKLOADS[name][0]
-        assert runner("csr", policy, seed) == runner("node", policy, seed)
+        assert runner("auto", policy, seed) == runner("node", policy, seed)
 
     @pytest.mark.parametrize("name,policy,seed", MATRIX)
     def test_pure_python_fallback_matches(self, name, policy, seed,
@@ -164,32 +165,33 @@ class TestGoldenEquivalence:
         runner = WORKLOADS[name][0]
         golden = runner("node", policy, seed)
         monkeypatch.setattr(kernels, "_np", None)
-        assert runner("csr", policy, seed) == golden
+        assert runner("auto", policy, seed) == golden
 
     def test_structural_event_streams_identical(self):
         streams = {}
-        for engine in ("csr", "node"):
+        for execution in ("auto", "node"):
             collect = Collect(kinds=(RoundStart, RoundEnd))
-            _run_luby(engine, CONGEST, 5, observe=collect)
-            streams[engine] = [
+            _run_luby(execution, CONGEST, 5, observe=collect)
+            streams[execution] = [
                 (type(e).__name__, e.protocol, e.round,
                  getattr(e, "messages", None), getattr(e, "bits", None),
                  getattr(e, "dropped", None))
                 for e in collect.events
             ]
-        assert streams["csr"] == streams["node"]
-        assert any(kind == "RoundStart" for kind, *_ in streams["csr"])
+        assert streams["auto"] == streams["node"]
+        assert any(kind == "RoundStart" for kind, *_ in streams["auto"])
 
     def test_round_limit_error_identical(self):
         errors = {}
-        for engine in ("csr", "node"):
+        for execution in ("auto", "node"):
             g = gnp(40, 0.15, rng=2)
-            net = Network(g, policy=CONGEST, seed=2, engine=engine)
+            net = Network(g, policy=CONGEST, seed=2, execution=execution)
             with pytest.raises(ProtocolError) as exc:
                 net.run(LubyMISNode, protocol="luby_mis", max_rounds=3)
-            errors[engine] = (str(exc.value), _metrics_tuple(net.metrics))
-        assert errors["csr"] == errors["node"]
-        assert "exceeded 3 rounds" in errors["csr"][0]
+            errors[execution] = (str(exc.value),
+                                 _metrics_tuple(net.metrics))
+        assert errors["auto"] == errors["node"]
+        assert "exceeded 3 rounds" in errors["auto"][0]
 
     def test_bandwidth_exceeded_identical(self):
         # a 1x-log budget (5 bits on toy graphs) that the counting pass's
@@ -197,7 +199,7 @@ class TestGoldenEquivalence:
         # with the same accounting; congest() returns a plain
         # BandwidthPolicy, so the kernel still engages
         outcomes = {}
-        for engine in ("csr", "node"):
+        for execution in ("auto", "node"):
             g = random_bipartite(14, 14, 0.5, rng=9)
             side = {v: (X_SIDE if v < 14 else Y_SIDE)
                     for v in sorted(g.nodes)}
@@ -211,31 +213,37 @@ class TestGoldenEquivalence:
                         mate[v] = u
                         break
             net = Network(g, policy=congest(multiplier=1), seed=9,
-                          engine=engine)
-            assert (net._select_kernel(CountingNode)
-                    is not None) == (engine == "csr")
+                          execution=execution)
+            assert _kernel_selected(net, CountingNode) == (
+                execution == "auto")
             with pytest.raises(BandwidthExceeded):
                 run_counting(net, side, mate, ell=6)
-            outcomes[engine] = _metrics_tuple(net.metrics)
-        assert outcomes["csr"] == outcomes["node"]
+            outcomes[execution] = _metrics_tuple(net.metrics)
+        assert outcomes["auto"] == outcomes["node"]
 
     def test_isolated_nodes_and_empty_graph(self):
         g = path_graph(5)
         g.add_node(99)  # isolated: joins the MIS in round 0, no rng draw
-        for engine in ("csr", "node"):
-            net = Network(g, policy=CONGEST, seed=1, engine=engine)
+        for execution in ("auto", "node"):
+            net = Network(g, policy=CONGEST, seed=1, execution=execution)
             mis = luby_mis(net)
             assert 99 in mis
         results = {
-            engine: _run_luby_on(path_graph(1), engine)
-            for engine in ("csr", "node")
+            execution: _run_luby_on(path_graph(1), execution)
+            for execution in ("auto", "node")
         }
-        assert results["csr"] == results["node"]
+        assert results["auto"] == results["node"]
 
 
-def _run_luby_on(g, engine):
-    net = Network(g, policy=CONGEST, seed=0, engine=engine)
+def _run_luby_on(g, execution):
+    net = Network(g, policy=CONGEST, seed=0, execution=execution)
     return frozenset(luby_mis(net)), _metrics_tuple(net.metrics)
+
+
+def _kernel_selected(net, factory):
+    """True when a run of ``factory`` on ``net`` takes the in-process
+    kernel fast path."""
+    return net.explain_execution(factory).tier == "kernel"
 
 
 class TestSelectionRules:
@@ -245,9 +253,9 @@ class TestSelectionRules:
         return Network(gnp(20, 0.2, rng=0), **kwargs)
 
     def test_fast_path_engages_by_default(self):
-        net = self._net(engine="csr")
+        net = self._net()
         for cls in (IsraeliItaiNode, LubyMISNode):
-            assert net._select_kernel(cls) is not None
+            assert _kernel_selected(net, cls)
 
     def test_registry_lookup(self):
         assert kernel_for(IsraeliItaiNode) is not None
@@ -255,53 +263,45 @@ class TestSelectionRules:
         assert kernel_for(CountingNode) is not None
 
     def test_node_engine_forces_slow_path(self):
-        assert self._net(engine="node")._select_kernel(LubyMISNode) is None
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(kernels.NO_KERNELS_ENV, "1")
-        assert not kernels_enabled()
-        assert self._net(engine="csr")._select_kernel(LubyMISNode) is None
-        # and the per-node run it falls back to stays golden
-        golden = _run_luby("node", CONGEST, 4)
-        assert _run_luby("csr", CONGEST, 4) == golden
+        assert not _kernel_selected(self._net(execution="node"), LubyMISNode)
 
     def test_subclass_falls_back(self):
         class Tweaked(LubyMISNode):
             pass
 
         assert kernel_for(Tweaked) is None
-        assert self._net(engine="csr")._select_kernel(Tweaked) is None
+        assert not _kernel_selected(self._net(), Tweaked)
 
     def test_faults_force_slow_path(self):
-        net = self._net(engine="csr", faults=FaultSpec(loss=0.1))
-        assert net._select_kernel(LubyMISNode) is None
+        net = self._net(faults=FaultSpec(loss=0.1))
+        assert not _kernel_selected(net, LubyMISNode)
 
     def test_policy_subclass_forces_slow_path(self):
         class EdgePriced(BandwidthPolicy):
             pass
 
-        net = self._net(engine="csr", policy=EdgePriced(mode=CONGEST.mode))
-        assert net._select_kernel(LubyMISNode) is None
+        net = self._net(policy=EdgePriced(mode=CONGEST.mode))
+        assert not _kernel_selected(net, LubyMISNode)
 
     def test_per_message_observer_forces_slow_path(self):
         watcher = Collect(kinds=(MessageDelivered,))
-        net = self._net(engine="csr", observe=watcher)
-        assert net._select_kernel(LubyMISNode) is None
+        net = self._net(observe=watcher)
+        assert not _kernel_selected(net, LubyMISNode)
         # structural observers do not force it
         structural = Collect(kinds=(RoundStart, RoundEnd))
-        net2 = self._net(engine="csr", observe=structural)
-        assert net2._select_kernel(LubyMISNode) is not None
+        net2 = self._net(observe=structural)
+        assert _kernel_selected(net2, LubyMISNode)
 
     def test_kernel_engages_inside_subnetwork(self):
         parent = Network(gnp(30, 0.15, rng=6), policy=CONGEST, seed=6)
         results = {}
-        for engine in ("csr", "node"):
+        for execution in ("auto", "node"):
             with Subnetwork(parent, parent.graph, label="mis",
-                            engine=engine) as sub:
-                assert (sub.network._select_kernel(LubyMISNode)
-                        is not None) == (engine == "csr")
-                results[engine] = frozenset(luby_mis(sub.network))
-        assert results["csr"] == results["node"]
+                            execution=execution) as sub:
+                assert _kernel_selected(sub.network, LubyMISNode) == (
+                    execution == "auto")
+                results[execution] = frozenset(luby_mis(sub.network))
+        assert results["auto"] == results["node"]
 
 
 class TestRngDerivation:
@@ -342,13 +342,14 @@ from repro.graphs import gnp
 assert kernels._np is None, "numpy import should have been blocked"
 
 results = {{}}
-for engine in ("csr", "node"):
+for execution in ("auto", "node"):
     net = Network(gnp(40, 0.12, rng=3), policy=CONGEST, seed=3,
-                  engine=engine)
-    results[engine] = (frozenset(luby_mis(net)), net.metrics.rounds,
-                      net.metrics.messages, net.metrics.total_bits)
-    assert (net._select_kernel(LubyMISNode) is not None) == (engine == "csr")
-assert results["csr"] == results["node"], results
+                  execution=execution)
+    results[execution] = (frozenset(luby_mis(net)), net.metrics.rounds,
+                          net.metrics.messages, net.metrics.total_bits)
+    tier = net.explain_execution(LubyMISNode).tier
+    assert (tier == "kernel") == (execution == "auto"), tier
+assert results["auto"] == results["node"], results
 print("NUMPY_ABSENT_OK")
 """
 

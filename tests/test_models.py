@@ -38,7 +38,7 @@ class TestRegistry:
         assert MPC_MODEL.loop_unit == "superstep"
 
     def test_tier_vocabulary(self):
-        # CONGEST owns the six-rung ladder; MPC owns its own two rungs
+        # CONGEST owns the engine ladder; MPC owns its own two rungs
         assert MPC_MODEL.tiers == ("mpc_kernel", "node")
         # 'node' is the only rung the ladders share; 'mpc_kernel' is
         # MPC-private (CONGEST must not accept it)
@@ -51,8 +51,7 @@ class TestCheckPlan:
         CONGEST_MODEL.check_plan(ExecutionPlan())
         MPC_MODEL.check_plan(ExecutionPlan())
 
-    @pytest.mark.parametrize("tier", ["kernel", "sharded", "sharded-kernel",
-                                      "legacy"])
+    @pytest.mark.parametrize("tier", ["kernel", "sharded-kernel", "legacy"])
     def test_mpc_rejects_congest_tiers(self, tier):
         plan = ExecutionPlan(tier=tier)
         with pytest.raises(ModelExecutionError) as err:
@@ -64,8 +63,8 @@ class TestCheckPlan:
         assert f"tier '{tier}'" in msg
         assert "execution='auto', 'mpc_kernel' or 'node'" in msg
 
-    @pytest.mark.parametrize("tier", ["kernel", "sharded", "sharded-kernel",
-                                      "legacy", "node"])
+    @pytest.mark.parametrize("tier", ["kernel", "sharded-kernel", "legacy",
+                                      "node"])
     def test_congest_accepts_every_rung(self, tier):
         CONGEST_MODEL.check_plan(ExecutionPlan(tier=tier))
 
@@ -73,7 +72,7 @@ class TestCheckPlan:
 class TestClusterPlanValidation:
     """MPCCluster validates at construction — fail fast, not mid-run."""
 
-    @pytest.mark.parametrize("tier", ["kernel", "sharded", "sharded-kernel"])
+    @pytest.mark.parametrize("tier", ["kernel", "sharded-kernel"])
     def test_cluster_rejects_congest_tiers(self, tier):
         with pytest.raises(ModelExecutionError, match="model 'mpc'"):
             MPCCluster(path_graph(40), alpha=0.8, execution=tier)
@@ -108,13 +107,12 @@ class TestExplainNamesTheModel:
 
     def test_mpc_auto_chain_names_only_mpc_rungs(self):
         # explain_execution() on a cluster must walk the MPC ladder —
-        # no CONGEST rung (compiled/kernel/shard) may appear
+        # no CONGEST rung (kernel/shard/legacy) may appear
         cluster = MPCCluster(path_graph(40), alpha=0.8)
         decision = cluster.explain_execution()
         assert decision.tier in ("mpc_kernel", "node")
         joined = " ".join(decision.reasons)
-        for foreign in ("compiled", "sharded-kernel", "'kernel'",
-                        "'sharded'", "legacy"):
+        for foreign in ("sharded-kernel", "'kernel'", "legacy"):
             assert foreign not in joined
 
     def test_network_carries_its_model(self):

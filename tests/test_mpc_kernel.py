@@ -8,9 +8,8 @@ Three concerns, mirroring the guarantees the tier makes:
   ledgers) and structural event stream, including identical
   :class:`~repro.mpc.cluster.MemoryExceeded` failures at the identical
   superstep when machine limits are squeezed mid-run;
-* **ladder resolution** — ``unavailable_reason`` gates (kernels=False
-  plans, the ``REPRO_NO_KERNELS`` kill switch, numpy absence, non-int
-  node ids) fall through to ``node`` with the reason in the
+* **ladder resolution** — ``unavailable_reason`` gates (numpy absence,
+  non-int node ids) fall through to ``node`` with the reason in the
   ``explain_execution()`` chain, and the chain never names CONGEST rungs;
 * **ledger invariants** — hypothesis property tests over
   :class:`~repro.mpc.cluster.MPCMachine` charge/release sequences (peak
@@ -30,7 +29,6 @@ import repro
 from repro.dist.random_tools import _MASK64, spawn_seed
 from repro.graphs import gnp, grid_graph, path_graph, random_bipartite
 from repro.graphs.generators import power_law_graph, star_graph
-from repro.models import ExecutionPlan
 from repro.mpc import (
     MemoryExceeded,
     MPCCluster,
@@ -38,6 +36,7 @@ from repro.mpc import (
     machine_words,
     mpc_maximal,
 )
+from repro.mpc import kernel as mpc_kernel_mod
 from repro.mpc.kernel import _np, unavailable_reason, vec_splitmix64
 from repro.observe.events import EventBus
 
@@ -171,8 +170,7 @@ class TestLadderResolution:
         joined = " ".join(decision.reasons)
         assert "model 'mpc'" in joined
         assert "mpc_kernel > node" in joined
-        for foreign in ("compiled", "sharded", "legacy", "numba",
-                        "RoundKernel", "shard worker"):
+        for foreign in ("sharded", "legacy", "RoundKernel", "shard worker"):
             assert foreign not in joined
 
     def test_node_pin_skips_the_vector_rung(self):
@@ -182,42 +180,21 @@ class TestLadderResolution:
         assert not any("mpc_kernel" in r for r in decision.reasons
                        if "ladder" not in r)
 
-    def test_kernels_false_reason(self):
-        plan = ExecutionPlan(kernels=False)
-        assert unavailable_reason(plan) == \
-            "the plan excludes kernels (kernels=False)"
-        cluster = MPCCluster(path_graph(280), alpha=0.7, execution=plan)
-        decision = cluster.explain_execution()
-        assert decision.tier == "node"
-        assert any("kernels=False" in r for r in decision.reasons)
-        assert mpc_maximal(cluster).tier == "node"
-
-    def test_kill_switch_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_KERNELS", "1")
-        cluster = MPCCluster(path_graph(280), alpha=0.7)
-        decision = cluster.explain_execution()
-        assert decision.tier == "node"
-        assert any("REPRO_NO_KERNELS" in r for r in decision.reasons)
-        # env_overrides=False plans ignore the environment
-        pinned = MPCCluster(path_graph(280), alpha=0.7,
-                            execution=ExecutionPlan(env_overrides=False))
-        if _np is not None:
-            assert pinned.explain_execution().tier == "mpc_kernel"
-
     @numpy_only
     def test_non_integer_node_ids_fall_through(self):
         class Stub:
             nodes = ("a", "b")
 
-        why = unavailable_reason(ExecutionPlan(), Stub())
+        why = unavailable_reason(Stub())
         assert why is not None and "node ids" in why
 
     @numpy_only
     def test_fallthrough_is_golden(self, monkeypatch):
-        # the kill switch only changes the rung, never the outputs
+        # a fallthrough (here: numpy gone) only changes the rung, never
+        # the outputs
         g = gnp(300, 0.02, rng=random.Random(6))
         fast = mpc_maximal(MPCCluster(g, alpha=0.7, seed=2))
-        monkeypatch.setenv("REPRO_NO_KERNELS", "1")
+        monkeypatch.setattr(mpc_kernel_mod, "_np", None)
         slow = mpc_maximal(MPCCluster(g, alpha=0.7, seed=2))
         assert fast.tier == "mpc_kernel" and slow.tier == "node"
         assert sorted(fast.matching.edges()) == sorted(slow.matching.edges())

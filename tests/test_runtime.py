@@ -142,7 +142,7 @@ class TestSubnetwork:
         parent = Network(path_graph(4), policy=LOCAL, seed=0, observe=bus)
         sub = parent.subnetwork(path_graph(3), label="x")
         assert sub.network.policy is LOCAL
-        assert sub.network.engine == parent.engine
+        assert sub.network.execution_plan == parent.execution_plan
         assert sub.network.bus is bus
 
     def test_invalid_fold_mode_rejected(self):

@@ -15,6 +15,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.congest import (
     CONGEST,
@@ -22,6 +24,7 @@ from repro.congest import (
     PIPELINE,
     BandwidthExceeded,
     BandwidthPolicy,
+    ExecutionPlan,
     FaultSpec,
     MessageDelivered,
     Network,
@@ -52,12 +55,23 @@ def _metrics_tuple(m):
             m.max_message_bits, tuple(sorted(m.protocol_rounds.items())))
 
 
-def _network(g, policy, seed, shards):
-    """A reference (csr) or sharded network, same graph and seed."""
+def _sharded(shards):
+    """The ``execution=`` plan of a ``shards``-worker run (None: the
+    default in-process plan)."""
     if shards is None:
-        return Network(g, policy=policy, seed=seed, engine="csr")
-    return Network(g, policy=policy, seed=seed, engine="sharded",
-                   shards=shards)
+        return None
+    return ExecutionPlan(tier="sharded-kernel", shards=shards)
+
+
+def _network(g, policy, seed, shards):
+    """A reference (in-process) or sharded network, same graph and seed."""
+    return Network(g, policy=policy, seed=seed, execution=_sharded(shards))
+
+
+def _selects_shards(net, factory, shared=None):
+    """True when a run of ``factory`` on ``net`` resolves to the
+    sharded-kernel tier."""
+    return net.explain_execution(factory, shared).tier == "sharded-kernel"
 
 
 class Collect:
@@ -192,6 +206,51 @@ class TestCodec:
             encode_payload(bytearray(), object())
 
 
+# -- codec round trip (hypothesis): the kernel halo's blob overflow ------
+
+_relaxed = settings(deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# exactly the plain-data universe the pricing model knows; oversized
+# ints force the length-prefixed blob branch the sentinel words point at
+_payloads = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda children: st.tuples(children, children)
+    | st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+class TestPayloadRoundTrip:
+    @_relaxed
+    @given(obj=_payloads)
+    def test_encode_decode_round_trip(self, obj):
+        buf = bytearray()
+        encode_payload(buf, obj)
+        decoded, pos = decode_payload(memoryview(bytes(buf)), 0)
+        assert decoded == obj
+        assert pos == len(buf)
+
+    @_relaxed
+    @given(value=st.integers(min_value=2**63,
+                             max_value=2**200) | st.integers(
+                                 min_value=-(2**200), max_value=-(2**63) - 1))
+    def test_oversized_int_blob_overflow(self, value):
+        # beyond int64 the codec switches to the sign-tagged magnitude
+        # blob; these are the values the word stream cannot carry inline
+        buf = bytearray()
+        encode_payload(buf, value)
+        tag = buf[0]
+        assert tag in (3, 4)  # _T_INT_POS / _T_INT_NEG
+        decoded, pos = decode_payload(memoryview(bytes(buf)), 0)
+        assert decoded == value and pos == len(buf)
+
+
 # --- golden workloads (shard count is the only degree of freedom) --------
 
 def _run_israeli(policy, seed, shards=None):
@@ -295,8 +354,7 @@ class TestGoldenEquivalence:
             collect = Collect(kinds=(RoundStart, RoundEnd))
             g = gnp(48, 0.12, rng=5)
             net = Network(g, policy=CONGEST, seed=5, observe=collect,
-                          **({"engine": "csr"} if shards is None else
-                             {"engine": "sharded", "shards": shards}))
+                          execution=_sharded(shards))
             try:
                 israeli_itai(net)
             finally:
@@ -314,10 +372,10 @@ class TestGoldenEquivalence:
         # metrics accumulate across protocols on one network, and the
         # worker pool (plus per-node rng run counter) carries over
         g = gnp(56, 0.1, rng=2)
-        ref = Network(g, policy=LOCAL, seed=2, engine="csr")
+        ref = Network(g, policy=LOCAL, seed=2)
         mis_a = frozenset(luby_mis(ref))
         mis_b = frozenset(luby_mis(ref))
-        net = Network(g, policy=LOCAL, seed=2, engine="sharded", shards=2)
+        net = Network(g, policy=LOCAL, seed=2, execution=_sharded(2))
         try:
             assert frozenset(luby_mis(net)) == mis_a
             assert frozenset(luby_mis(net)) == mis_b
@@ -335,7 +393,7 @@ class TestGoldenEquivalence:
 
     def test_shard_account_populated(self):
         g = grid_graph(8, 8)
-        net = Network(g, policy=LOCAL, seed=1, engine="sharded", shards=2)
+        net = Network(g, policy=LOCAL, seed=1, execution=_sharded(2))
         try:
             luby_mis(net)
             part = net._sharded_execs[2].partition
@@ -347,7 +405,7 @@ class TestGoldenEquivalence:
 
     def test_single_shard_has_no_halo(self):
         g = gnp(40, 0.15, rng=6)
-        net = Network(g, policy=LOCAL, seed=6, engine="sharded", shards=1)
+        net = Network(g, policy=LOCAL, seed=6, execution=_sharded(1))
         try:
             luby_mis(net)
             assert net.metrics.shard_cut_edges == 0
@@ -435,8 +493,7 @@ class TestPoolRecovery:
         for shards in (None, 2):
             g = gnp(40, 0.15, rng=4)
             net = Network(g, policy=LOCAL, seed=4, observe=AngryOnce(),
-                          **({"engine": "csr"} if shards is None else
-                             {"engine": "sharded", "shards": shards}))
+                          execution=_sharded(shards))
             try:
                 with pytest.raises(ValueError, match="subscriber crashed"):
                     net.run(LubyMISNode, protocol="luby_mis")
@@ -453,7 +510,7 @@ class TestPoolRecovery:
         # dispatch, after some workers may already hold the command: the
         # pool cannot be trusted and must be broken, closed, and replaced
         g = gnp(40, 0.15, rng=3)
-        ref = Network(g, policy=LOCAL, seed=3, engine="csr")
+        ref = Network(g, policy=LOCAL, seed=3)
         ref.run(LubyMISNode, protocol="luby_mis")  # burn run counter 1
         golden = frozenset(luby_mis(ref))
         net = _network(g, LOCAL, 3, 2)
@@ -469,9 +526,9 @@ class TestPoolRecovery:
 
     def test_keyboard_interrupt_in_wait_breaks_and_closes_pool(self):
         g = gnp(30, 0.2, rng=0)
-        net = Network(g, policy=LOCAL, seed=0, engine="sharded", shards=2)
+        net = Network(g, policy=LOCAL, seed=0, execution=_sharded(2))
         try:
-            executor = net._select_sharded(LubyMISNode, {})
+            executor = net._sharded_executor(2)
             real_barrier = executor._barrier
 
             class Interrupted:
@@ -500,9 +557,10 @@ class TestPoolRecovery:
         assert sharding.barrier_timeout() == sharding.BARRIER_TIMEOUT
         monkeypatch.setenv(sharding.TIMEOUT_ENV, "12.5")
         g = gnp(30, 0.2, rng=0)
-        net = Network(g, policy=LOCAL, seed=0, engine="sharded", shards=1)
+        net = Network(g, policy=LOCAL, seed=0, execution=_sharded(1))
         try:
-            assert net._select_sharded(LubyMISNode, {}).timeout == 12.5
+            assert _selects_shards(net, LubyMISNode)
+            assert net._sharded_executor(1).timeout == 12.5
         finally:
             net.close()
 
@@ -512,39 +570,38 @@ class TestSelection:
         return Network(gnp(30, 0.2, rng=0), policy=LOCAL, seed=0, **kwargs)
 
     def test_explicit_shards_engage(self):
-        net = self._eligible_net(engine="sharded", shards=1)
+        net = self._eligible_net(execution=_sharded(1))
         try:
-            assert net._select_sharded(LubyMISNode, {}) is not None
+            assert _selects_shards(net, LubyMISNode)
         finally:
             net.close()
 
     def test_shards_argument_implies_opt_in_on_csr(self):
-        net = self._eligible_net(engine="csr", shards=1)
+        net = self._eligible_net(execution=ExecutionPlan(shards=1))
         try:
-            assert net._select_sharded(LubyMISNode, {}) is not None
+            assert _selects_shards(net, LubyMISNode)
         finally:
             net.close()
 
     def test_auto_requires_size_and_cores(self):
-        net = self._eligible_net(engine="csr")
+        net = self._eligible_net()
         try:
             # 30 nodes is far below the auto threshold
             assert resolve_shards(net) is None
-            assert net._select_sharded(LubyMISNode, {}) is None
+            assert not _selects_shards(net, LubyMISNode)
         finally:
             net.close()
 
     def test_auto_sharding_composes_with_kernels(self, monkeypatch):
         monkeypatch.setattr(sharding, "AUTO_SHARD_MIN_NODES", 10)
         monkeypatch.setattr(sharding.os, "cpu_count", lambda: 4)
-        net = self._eligible_net(engine="csr")
+        net = self._eligible_net()
         try:
-            # shard workers now run the kernel fast path themselves, so
-            # auto-sharding no longer defers to it: an eligible network
-            # gets a shard count whether kernels are on or off
+            # shard workers run the kernel fast path themselves, so
+            # auto-sharding composes with the in-process kernel tier
+            # instead of deferring to it
             assert resolve_shards(net) == 4
-            monkeypatch.setenv("REPRO_NO_KERNELS", "1")
-            assert resolve_shards(net) == 4
+            assert _selects_shards(net, LubyMISNode)
         finally:
             net.close()
 
@@ -567,25 +624,25 @@ class TestSelection:
 
         monkeypatch.setattr(kernels.kernel_for(LubyMISNode),
                             "shardable", False)
-        net = self._eligible_net(engine="sharded", shards=1)
+        net = self._eligible_net(execution=_sharded(1))
         try:
-            assert net._select_sharded(LubyMISNode, {}) is None
+            assert not _selects_shards(net, LubyMISNode)
         finally:
             net.close()
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv(sharding.SHARDS_ENV, "0")
-        net = self._eligible_net(engine="sharded", shards=2)
+        net = self._eligible_net(execution=_sharded(2))
         try:
-            assert net._select_sharded(LubyMISNode, {}) is None
+            assert not _selects_shards(net, LubyMISNode)
         finally:
             net.close()
 
     def test_env_forces_shards(self, monkeypatch):
         monkeypatch.setenv(sharding.SHARDS_ENV, "1")
-        net = self._eligible_net(engine="csr")
+        net = self._eligible_net()
         try:
-            assert net._select_sharded(LubyMISNode, {}) is not None
+            assert _selects_shards(net, LubyMISNode)
         finally:
             net.close()
 
@@ -595,76 +652,78 @@ class TestSelection:
             pass
 
         cases = {
-            "faults": self._eligible_net(engine="sharded", shards=1,
+            "faults": self._eligible_net(execution=_sharded(1),
                                          faults=FaultSpec(loss=0.1)),
             "policy": Network(gnp(30, 0.2, rng=0), policy=EdgePolicy(),
-                              seed=0, engine="sharded", shards=1),
+                              seed=0, execution=_sharded(1)),
             "observer": self._eligible_net(
-                engine="sharded", shards=1,
+                execution=_sharded(1),
                 observe=Collect(kinds=(MessageDelivered,))),
         }
         try:
             for label, net in cases.items():
-                assert net._select_sharded(LubyMISNode, {}) is None, label
-            net = self._eligible_net(engine="sharded", shards=1)
+                assert not _selects_shards(net, LubyMISNode), label
+            net = self._eligible_net(execution=_sharded(1))
             cases["clean"] = net
             # unregistered factory (a subclass) and callable shared values
             class SubLuby(LubyMISNode):
                 pass
 
-            assert net._select_sharded(SubLuby, {}) is None
-            assert net._select_sharded(
-                LubyMISNode, {"observer": lambda e: None}) is None
-            assert net._select_sharded(LubyMISNode, {}) is not None
+            assert not _selects_shards(net, SubLuby)
+            assert not _selects_shards(
+                net, LubyMISNode, {"observer": lambda e: None})
+            assert _selects_shards(net, LubyMISNode)
         finally:
             for net in cases.values():
                 net.close()
 
     def test_sharded_engine_falls_back_to_kernels(self):
-        # an ineligible run on engine="sharded" drops down the ladder
-        # (kernel, then per-node) and stays golden
+        # an ineligible run on the sharded-kernel tier drops down the
+        # ladder (kernel, then per-node) and stays golden
         g = gnp(40, 0.15, rng=8)
-        plain = Network(g, policy=CONGEST, seed=8, engine="sharded",
-                        shards=1)
+        plain = Network(g, policy=CONGEST, seed=8, execution=_sharded(1))
         try:
-            assert plain._select_kernel(LubyMISNode) is not None
+            assert plain.explain_execution(
+                LubyMISNode, {"observer": lambda e: None}).tier == "kernel"
         finally:
             plain.close()
         results = {}
-        for engine in ("csr", "sharded"):
-            net = Network(g, policy=CONGEST, seed=8, engine=engine,
+        for shards in (None, 2):
+            net = Network(g, policy=CONGEST, seed=8,
                           faults=FaultSpec(loss=0.1),
-                          **({} if engine == "csr" else {"shards": 2}))
+                          execution=_sharded(shards))
             try:
-                assert net._select_sharded(LubyMISNode, {}) is None
-                results[engine] = (frozenset(luby_mis(net)),
+                assert net.explain_execution(LubyMISNode).tier == "node"
+                results[shards] = (frozenset(luby_mis(net)),
                                    _metrics_tuple(net.metrics))
             finally:
                 net.close()
-        assert results["sharded"] == results["csr"]
+        assert results[2] == results[None]
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            Network(path_graph(4), engine="node", shards=2)
+            Network(path_graph(4),
+                    execution=ExecutionPlan(tier="node", shards=2))
         with pytest.raises(ValueError):
-            Network(path_graph(4), engine="legacy", shards=2)
+            Network(path_graph(4),
+                    execution=ExecutionPlan(tier="legacy", shards=2))
 
     def test_shards_zero_is_a_kill_switch(self):
         # shards=0 pins single-process execution (the programmatic twin of
         # REPRO_SHARDS=0) instead of raising
-        net = self._eligible_net(engine="csr", shards=0)
+        net = self._eligible_net(execution=ExecutionPlan(shards=0))
         try:
             assert resolve_shards(net) is None
-            assert net._select_sharded(LubyMISNode, {}) is None
+            assert not _selects_shards(net, LubyMISNode)
         finally:
             net.close()
 
     def test_close_is_idempotent_and_network_stays_usable(self):
         g = gnp(40, 0.15, rng=1)
-        ref = Network(g, policy=LOCAL, seed=1, engine="csr")
+        ref = Network(g, policy=LOCAL, seed=1)
         first = frozenset(luby_mis(ref))
         second = frozenset(luby_mis(ref))  # run counter advances the rng
-        net = Network(g, policy=LOCAL, seed=1, engine="sharded", shards=2)
+        net = Network(g, policy=LOCAL, seed=1, execution=_sharded(2))
         try:
             assert frozenset(luby_mis(net)) == first
             net.close()

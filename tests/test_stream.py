@@ -117,6 +117,14 @@ class TestServiceBasics:
         with pytest.raises(ValueError):
             MatchingService(k=0)
 
+    @pytest.mark.parametrize("tier", ["mpc_kernel", "turbo"])
+    def test_bad_execution_rejected_at_construction(self, tier):
+        # recompute escalations run on CONGEST networks: a foreign or
+        # unknown tier must fail here, not inside a later commit() after
+        # the batch was applied
+        with pytest.raises(ValueError, match=f"'{tier}'"):
+            MatchingService(gnp(20, 0.2, rng=1), k=2, execution=tier)
+
     def test_graph_is_copied(self):
         g = path_graph(4)
         svc = MatchingService(g, k=1)
@@ -703,3 +711,35 @@ class TestStreamCLI:
                    "--seed", "1", "--batch", "8", "--spot-checks", "1"])
         assert rc == 0
         assert "replayed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["stream", "--cycles", "5", "--execution", "mpc_kernel"],
+        ["stream", "--cycles", "5", "--execution", "turbo"],
+        ["mpc", "gnp:200:0.05", "--execution", "kernel"],
+        ["mpc", "gnp:200:0.05", "--execution", "turbo"],
+    ], ids=["stream-foreign", "stream-unknown", "mpc-foreign",
+            "mpc-unknown"])
+    def test_bad_execution_is_a_one_line_usage_error(self, argv, capsys):
+        from repro.__main__ import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("--execution: ")
+        assert f"'{argv[-1]}'" in lines[0]
+
+    def test_execution_help_names_each_models_tiers(self, capsys,
+                                                     monkeypatch):
+        from repro.__main__ import build_parser
+        from repro.models.execution import MPC_TIERS, TIERS
+
+        monkeypatch.setenv("COLUMNS", "300")  # no wrapping inside names
+        parser = build_parser()
+        for command, tiers in (("mpc", MPC_TIERS), ("stream", TIERS)):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            text = capsys.readouterr().out
+            assert all(tier in text for tier in tiers), (command, text)
+            # the deleted per-node "sharded" rung is offered nowhere
+            assert "sharded," not in text, (command, text)

@@ -24,45 +24,32 @@ committed ``BENCH_engine.json`` at the repo root is produced this way.
 (:mod:`repro.congest.kernels`) against per-node dispatch on the same
 batched engine — Israeli-Itai, Luby MIS, the counting pass and token
 selection on 1000-node graphs of mean degree 16, each with numpy and on
-the pure-python fallback.  When numba is importable (the
-``repro[compiled]`` extra) a ``compiled`` column is measured first —
-the jitted compiled tier, warmed up outside the clock — and gated at
->= 8x the per-node path and >= 2x the numpy kernel on ``israeli_itai``
-and ``luby_mis``; on numba-free hosts the column records the skip
-reason instead (same idiom as the cores-aware ``BENCH_shards`` gates).
-Acceptance gates: >= 3x rounds/sec with numpy and
->= 1.2x pure-python on ``israeli_itai`` and ``luby_mis``.  The committed
+the pure-python fallback.  Acceptance gates: >= 3x rounds/sec with numpy
+and >= 1.2x pure-python on ``israeli_itai`` and ``luby_mis``.  The committed
 ``BENCH_kernels.json`` is produced with ``--kernels --json``;
 ``--check-against BENCH_kernels.json`` additionally fails when a current
 *speedup ratio* regressed more than 20% below the committed one — ratios
 (kernel vs node on the same machine) travel across runners, absolute
 rounds/sec do not.
 
-``--shards [K,K,...]`` measures the sharded multi-core executor
-(:mod:`repro.congest.sharding`) against the in-process CSR kernel path on
-the same workloads — a persistent worker pool per shard count (default
-1,2,4), warmed before timing so pool startup is excluded, exactly as a
-long experiment amortizes it.  Both in-process baselines are reported:
-the per-node path (the same code the workers run — the apples-to-apples
-gate baseline) and the vectorized kernel path (the stronger single-core
-bar).  Acceptance gates, held at the 10k-node scale the committed
-report uses (barrier cost amortizes with per-round work, so tiny graphs
-overstate it): single-shard pool overhead within 15% of the in-process
-per-node path, and >= 1.5x rounds/sec at the
-largest shard count — both gates are *cores-aware*: the speedup gate
-only applies when the machine has at least ``gate_k`` cores, the
-overhead gate when a worker can run on a core beside the coordinator
-(>= 2), and each is recorded as skipped (with the reason) otherwise, so
-a 1-core runner still produces an honest ``BENCH_shards.json`` without
-a vacuous failure.  Adding
-``--kernels`` (``--shards --kernels``) also measures the sharded-kernel
-tier — workers running the vectorized ``RoundKernel`` fast path — and
-emits it as the ``sharded_kernel_rounds_per_sec`` column, gated
-(cores-aware, same skip rule) at >= 1.5x the *in-process kernel*
-baseline at the largest shard count; the committed ``BENCH_shards.json``
-is produced this way.  All other benchmark modes pin ``REPRO_SHARDS=0``
-so auto-sharding on a big multi-core runner cannot leak into their
-numbers.
+``--shards [K,K,...]`` measures the sharded-kernel tier
+(:mod:`repro.congest.sharding`: shard workers running the vectorized
+``RoundKernel`` fast path) against both in-process baselines on the same
+workloads — the kernel path and the per-node path — with a persistent
+worker pool per shard count (default 1,2,4), warmed before timing so
+pool startup is excluded, exactly as a long experiment amortizes it.
+The result is the ``sharded_kernel_rounds_per_sec`` column, gated at
+>= 1.5x the *in-process kernel* baseline at the largest shard count,
+held at the 10k-node scale the committed report uses (barrier cost
+amortizes with per-round work, so tiny graphs overstate it).  The gate
+is *cores-aware*: it only applies when the machine has at least
+``gate_k`` cores and is recorded as skipped (with the reason) otherwise,
+so a 1-core runner still produces an honest ``BENCH_shards.json``
+without a vacuous failure.  ``--kernels`` is accepted beside
+``--shards`` (the committed report is produced with ``--shards
+--kernels``) and changes nothing there.  All other benchmark modes pin
+``REPRO_SHARDS=0`` so auto-sharding on a big multi-core runner cannot
+leak into their numbers.
 
 ``--smoke`` shrinks the workloads and disables the acceptance gates
 (always exit 0): a CI-friendly "does the harness still run" check —
@@ -104,7 +91,6 @@ from repro.congest import (
     NodeAlgorithm,
     kernels,
 )
-from repro.congest import compiled as compiled_mod
 from repro.dist.bipartite_counting import X_SIDE, Y_SIDE, run_counting
 from repro.dist.israeli_itai import israeli_itai
 from repro.dist.luby_mis import luby_mis
@@ -134,13 +120,14 @@ class FloodMax(NodeAlgorithm):
         return {BROADCAST: self.best}
 
 
-def _flood(engine: str, n_side: int, p: float, rounds: int, reps: int = 3,
-           observe_factory=None):
+def _flood(execution: str, n_side: int, p: float, rounds: int,
+           reps: int = 3, observe_factory=None):
     g = random_bipartite(n_side, n_side, p, rng=0)
     best, outputs, done = float("inf"), None, 0
     for _ in range(reps):  # best-of-reps damps scheduler noise
         observe = observe_factory() if observe_factory is not None else None
-        net = Network(g, policy=LOCAL, seed=0, engine=engine, observe=observe)
+        net = Network(g, policy=LOCAL, seed=0, execution=execution,
+                      observe=observe)
         t0 = time.perf_counter()
         res = net.run(FloodMax, shared={"rounds": rounds},
                       max_rounds=rounds + 2)
@@ -153,12 +140,12 @@ def _flood(engine: str, n_side: int, p: float, rounds: int, reps: int = 3,
     return done / best, best, outputs
 
 
-def _israeli(engine: str, n_side: int, p: float, seed: int = 0,
+def _israeli(execution: str, n_side: int, p: float, seed: int = 0,
              reps: int = 3):
     g = random_bipartite(n_side, n_side, p, rng=0)
     best, edges, done = float("inf"), None, 0
     for _ in range(reps):
-        net = Network(g, policy=LOCAL, seed=seed, engine=engine)
+        net = Network(g, policy=LOCAL, seed=seed, execution=execution)
         t0 = time.perf_counter()
         matching = israeli_itai(net)
         best = min(best, time.perf_counter() - t0)
@@ -209,7 +196,7 @@ def _bench_observed(n_side: int, p: float, rounds: int, record=None) -> int:
     print(f"observability overhead, csr flood "
           f"({2 * n_side} nodes, {rounds} rounds):")
     for name, factory in modes:
-        rs, t, out = _flood("csr", n_side, p, rounds, reps=5,
+        rs, t, out = _flood("auto", n_side, p, rounds, reps=5,
                             observe_factory=factory)
         if baseline_rs is None:
             baseline_rs = rs
@@ -239,8 +226,6 @@ def _bench_observed(n_side: int, p: float, rounds: int, record=None) -> int:
 KERNEL_DEG = 16            # mean degree of the 1000-node benchmark graphs
 NUMPY_SPEEDUP_TARGET = 3.0
 FALLBACK_SPEEDUP_TARGET = 1.2
-COMPILED_NODE_TARGET = 8.0    # compiled tier vs per-node dispatch
-COMPILED_KERNEL_TARGET = 2.0  # compiled tier vs the numpy kernel path
 GATED_WORKLOADS = ("israeli_itai", "luby_mis")
 REGRESSION_TOLERANCE = 0.8  # current speedup must be >= 80% of committed
 
@@ -261,29 +246,22 @@ def _counting_instance(n: int):
     return g, side, mate
 
 
-def _net_kwargs(engine: str):
-    """``engine`` column -> Network keyword; ``compiled`` is a plan tier,
-    not a legacy engine name, so it travels as ``execution=``."""
-    if engine == "compiled":
-        return {"execution": "compiled"}
-    return {"engine": engine}
-
-
 def _kernel_workloads(n: int):
-    """(name, build, go) triples: ``build(engine)`` makes a fresh Network,
-    ``go(net)`` runs the protocol and returns a comparable result."""
+    """(name, build, go) triples: ``build(execution)`` makes a fresh
+    Network, ``go(net)`` runs the protocol and returns a comparable
+    result."""
     p = KERNEL_DEG / max(2, n - 1)
 
-    def build_gnp(engine):
+    def build_gnp(execution):
         return Network(gnp(n, p, rng=7), policy=CONGEST, seed=7,
-                       **_net_kwargs(engine))
+                       execution=execution)
 
     counting_shared = {}
 
-    def build_counting(engine):
+    def build_counting(execution):
         g, side, mate = _counting_instance(n)
         counting_shared["side"], counting_shared["mate"] = side, mate
-        return Network(g, policy=PIPELINE, seed=7, **_net_kwargs(engine))
+        return Network(g, policy=PIPELINE, seed=7, execution=execution)
 
     def go_counting(net):
         outputs = run_counting(net, counting_shared["side"],
@@ -293,20 +271,20 @@ def _kernel_workloads(n: int):
 
     token_shared = {}
 
-    def build_token(engine):
+    def build_token(execution):
         # count states are inputs to selection, not part of the timed
         # protocol: compute them once on a throwaway network
         if not token_shared:
             g, side, mate = _counting_instance(n)
             ell = 6
-            prep = Network(g, policy=PIPELINE, seed=7, engine="csr")
+            prep = Network(g, policy=PIPELINE, seed=7)
             states = run_counting(prep, side, mate, ell)
             n_bound = (max(2, g.num_nodes)
                        * max(2, g.max_degree) ** ((ell + 1) // 2))
             token_shared.update(g=g, side=side, mate=mate, ell=ell,
                                 states=states, cap=n_bound ** 4)
         return Network(token_shared["g"], policy=PIPELINE, seed=7,
-                       **_net_kwargs(engine))
+                       execution=execution)
 
     def go_token(net):
         ts = token_shared
@@ -324,11 +302,11 @@ def _kernel_workloads(n: int):
     ]
 
 
-def _time_kernel_workload(build, go, engine: str, reps: int):
+def _time_kernel_workload(build, go, execution: str, reps: int):
     """Best-of-reps rounds/sec; graph + Network build stay outside timing."""
     best_rs, out, rounds = 0.0, None, 0
     for _ in range(reps):
-        net = build(engine)
+        net = build(execution)
         t0 = time.perf_counter()
         result = go(net)
         dt = time.perf_counter() - t0
@@ -338,29 +316,15 @@ def _time_kernel_workload(build, go, engine: str, reps: int):
 
 
 def _bench_kernels(n: int, reps: int, record=None) -> int:
-    """Kernel fast path vs per-node dispatch: compiled (when numba is
-    importable), numpy, and the pure-python fallback."""
+    """Kernel fast path vs per-node dispatch: numpy and the pure-python
+    fallback."""
     status = 0
-    have_numpy = kernels._np is not None
-    have_compiled = (have_numpy and compiled_mod.numba_available()
-                     and compiled_mod.compiled_enabled())
     modes = []
-    if have_compiled:
-        compiled_mod.warmup()  # JIT compilation happens outside the clock
-        modes.append(("compiled", True))
-        compiled_gate = "enforced (numba importable, warmed up)"
-    else:
-        reason = (compiled_mod.unavailable_reason()
-                  or f"{compiled_mod.NO_COMPILED_ENV} is set")
-        compiled_gate = f"skipped ({reason})"
-        print(f"compiled tier unavailable: {reason}")
-    if have_numpy:
+    if kernels._np is not None:
         modes.append(("numpy", True))
     else:
         print("numpy unavailable: skipping the numpy mode")
     modes.append(("fallback", False))
-    if record is not None:
-        record["compiled_gate"] = compiled_gate
     print(f"kernel fast path vs per-node dispatch "
           f"({n} nodes, mean degree {KERNEL_DEG}):")
     for mode_name, use_numpy in modes:
@@ -370,40 +334,11 @@ def _bench_kernels(n: int, reps: int, record=None) -> int:
         try:
             for name, build, go in _kernel_workloads(n):
                 k_rs, k_rounds, k_out = _time_kernel_workload(
-                    build, go, "csr", reps)
+                    build, go, "kernel", reps)
                 n_rs, n_rounds, n_out = _time_kernel_workload(
                     build, go, "node", reps)
                 assert k_out == n_out and k_rounds == n_rounds, (
                     f"{name}: kernel and per-node paths disagree!")
-                if mode_name == "compiled":
-                    c_rs, c_rounds, c_out = _time_kernel_workload(
-                        build, go, "compiled", reps)
-                    assert c_out == n_out and c_rounds == n_rounds, (
-                        f"{name}: compiled and per-node paths disagree!")
-                    vs_node = c_rs / n_rs
-                    vs_kernel = c_rs / k_rs
-                    print(f"{name:>14} [compiled]: node {n_rs:8.1f} r/s   "
-                          f"kernel {k_rs:8.1f} r/s   "
-                          f"compiled {c_rs:8.1f} r/s   "
-                          f"{vs_node:.2f}x node   {vs_kernel:.2f}x kernel")
-                    if record is not None:
-                        record.setdefault(name, {})["compiled"] = {
-                            "node_rounds_per_sec": round(n_rs, 1),
-                            "kernel_rounds_per_sec": round(k_rs, 1),
-                            "compiled_rounds_per_sec": round(c_rs, 1),
-                            "rounds": c_rounds,
-                            "speedup_vs_node": round(vs_node, 2),
-                            "speedup_vs_kernel": round(vs_kernel, 2),
-                        }
-                    if name in GATED_WORKLOADS and (
-                            vs_node < COMPILED_NODE_TARGET
-                            or vs_kernel < COMPILED_KERNEL_TARGET):
-                        print(f"{name:>14} [compiled]: {vs_node:.2f}x node "
-                              f"/ {vs_kernel:.2f}x kernel below the "
-                              f"{COMPILED_NODE_TARGET:.0f}x node / "
-                              f"{COMPILED_KERNEL_TARGET:.0f}x kernel gates")
-                        status = 1
-                    continue
                 speedup = k_rs / n_rs
                 print(f"{name:>14} [{mode_name:8}]: node {n_rs:8.1f} r/s   "
                       f"kernel {k_rs:8.1f} r/s   speedup {speedup:.2f}x   "
@@ -425,9 +360,7 @@ def _bench_kernels(n: int, reps: int, record=None) -> int:
             kernels._np = saved
     print(f"gates: {' and '.join(GATED_WORKLOADS)} need "
           f">= {NUMPY_SPEEDUP_TARGET:.1f}x with numpy, "
-          f">= {FALLBACK_SPEEDUP_TARGET:.1f}x pure-python; compiled "
-          f"needs >= {COMPILED_NODE_TARGET:.0f}x node and "
-          f">= {COMPILED_KERNEL_TARGET:.0f}x kernel — {compiled_gate}")
+          f">= {FALLBACK_SPEEDUP_TARGET:.1f}x pure-python")
     return status
 
 
@@ -439,21 +372,17 @@ def _check_kernel_regression(record, committed_path: str) -> int:
         committed = json.load(fh)
     status = 0
     for name, modes in committed.get("kernels", {}).items():
-        if not isinstance(modes, dict):  # gate notes ride beside workloads
-            continue
         for mode_name, entry in modes.items():
-            for key in ("speedup", "speedup_vs_node", "speedup_vs_kernel"):
-                base = entry.get(key)
-                current = (record.get(name, {}).get(mode_name, {})
-                           .get(key))
-                if base is None or current is None:
-                    continue
-                floor = base * REGRESSION_TOLERANCE
-                if current < floor:
-                    print(f"REGRESSION {name} [{mode_name}]: {key} "
-                          f"{current:.2f}x < {floor:.2f}x "
-                          f"(80% of committed {base:.2f}x)")
-                    status = 1
+            base = entry.get("speedup")
+            current = record.get(name, {}).get(mode_name, {}).get("speedup")
+            if base is None or current is None:
+                continue
+            floor = base * REGRESSION_TOLERANCE
+            if current < floor:
+                print(f"REGRESSION {name} [{mode_name}]: speedup "
+                      f"{current:.2f}x < {floor:.2f}x "
+                      f"(80% of committed {base:.2f}x)")
+                status = 1
     if status == 0:
         print(f"no kernel-path regression vs {committed_path} "
               f"(tolerance: within 20% of committed speedups)")
@@ -463,29 +392,19 @@ def _check_kernel_regression(record, committed_path: str) -> int:
 # --- sharded multi-core executor (--shards) ----------------------------
 
 SHARD_SPEEDUP_TARGET = 1.5   # at the largest shard count, cores permitting
-SHARD_OVERHEAD_LIMIT = 1.15  # single-shard pool vs in-process per-node path
-                             # (barrier cost amortizes with per-round work:
-                             # hold it at the 10k-node benchmark scale)
 
 
-def _time_sharded_workload(g, go, shards, reps: int, engine: str = "csr",
-                           tier: str = "sharded"):
+def _time_sharded_workload(g, go, execution, reps: int):
     """Best-of-reps rounds/sec on one persistent network.
 
     One warmup run builds the worker pool (and advances the run counter)
     before the clock starts — matching how a long experiment amortizes
     pool startup — so every measured rep reuses warm workers.  Returns
-    the *warmup* outputs for cross-engine comparison: later reps see a
+    the *warmup* outputs for cross-tier comparison: later reps see a
     different per-run rng stream, but rep ``i`` matches rep ``i`` of any
-    other engine on the same network seed.
-
-    ``tier`` picks the worker flavor when ``shards`` is set:
-    ``"sharded"`` pins the per-node dispatch path, ``"sharded-kernel"``
-    runs the vectorized kernel inside the workers.
+    other tier on the same network seed.
     """
-    kwargs = ({"engine": engine} if shards is None
-              else {"execution": ExecutionPlan(tier=tier, shards=shards)})
-    net = Network(g, policy=CONGEST, seed=7, **kwargs)
+    net = Network(g, policy=CONGEST, seed=7, execution=execution)
     try:
         warm_out = go(net)
         best_rs, rounds = 0.0, 0
@@ -501,25 +420,13 @@ def _time_sharded_workload(g, go, shards, reps: int, engine: str = "csr",
         net.close()
 
 
-def _bench_shards(n: int, shard_counts, reps: int, record=None,
-                  kernel_workers: bool = False) -> int:
-    """Sharded worker pool vs the in-process engine, both baselines.
+def _bench_shards(n: int, shard_counts, reps: int, record=None) -> int:
+    """The sharded-kernel tier vs both in-process baselines.
 
-    The per-node sharded tier replays the node program inside workers,
-    so the *per-node* in-process path is its apples-to-apples baseline
-    for the overhead and speedup gates: a 1-shard pool is that same
-    work plus barrier synchronisation, and k shards on k cores
-    parallelize exactly it.  The kernel fast path is also measured — it
-    is the stronger single-core baseline, and the ratio shows how many
-    cores per-node sharding needs before it beats numpy on one.
-
-    ``kernel_workers=True`` additionally measures the sharded-kernel
-    tier (workers run the vectorized ``RoundKernel`` fast path over
-    shard-local arrays, halos exchanged as zero-copy int64 views) and
-    emits it as the ``sharded_kernel_rounds_per_sec`` column.  Its gate
-    is held against the *kernel* baseline — the tiers compose now, so
-    the bar is beating the best single-core path, not the per-node one
-    — and is cores-aware like the per-node speedup gate.
+    Workers run the vectorized ``RoundKernel`` fast path over shard-local
+    arrays, halos exchanged as zero-copy int64 views.  The gate is held
+    against the in-process *kernel* baseline — the bar is beating the
+    best single-core path — and is cores-aware.
     """
     cores = os.cpu_count() or 1
     p = KERNEL_DEG / max(2, n - 1)
@@ -532,19 +439,14 @@ def _bench_shards(n: int, shard_counts, reps: int, record=None,
     # a single shard cannot speed anything up: the speedup gate only
     # means something for a real fan-out on a machine that can host it
     speedup_gated = gate_k >= 2 and cores >= gate_k
-    # the overhead gate likewise needs a core for the worker *next to*
-    # the coordinator: on one core the two time-share it and the
-    # measured "overhead" includes forced context switching that does
-    # not exist on the multi-core runners the gate protects
-    overhead_gated = cores >= 2
-    print(f"sharded executor vs in-process engine "
+    print(f"sharded-kernel tier vs in-process engine "
           f"({n} nodes, mean degree {KERNEL_DEG}, {cores} core(s)):")
     for name, go in workloads:
         g = gnp(n, p, rng=7)
         kern_rs, base_rounds, base_out = _time_sharded_workload(
-            g, go, None, reps, engine="csr")
+            g, go, "kernel", reps)
         node_rs, node_rounds, node_out = _time_sharded_workload(
-            g, go, None, reps, engine="node")
+            g, go, "node", reps)
         assert node_out == base_out and node_rounds == base_rounds, (
             f"{name}: kernel and per-node baselines disagree!")
         print(f"{name:>14} [kernel]:   {kern_rs:8.1f} r/s "
@@ -557,53 +459,26 @@ def _bench_shards(n: int, shard_counts, reps: int, record=None,
                 "rounds": base_rounds,
             }
         for k in shard_counts:
-            s_rs, s_rounds, s_out = _time_sharded_workload(
-                g, go, k, reps)
-            assert s_out == base_out and s_rounds == base_rounds, (
-                f"{name}: sharded ({k}) and in-process runs disagree!")
-            speedup = s_rs / node_rs
-            print(f"{name:>14} [{k} shard(s)]: {s_rs:8.1f} r/s   "
-                  f"{speedup:.2f}x per-node   {s_rs / kern_rs:.2f}x kernel")
-            if record is not None:
-                record[name][f"shards_{k}"] = {
-                    "rounds_per_sec": round(s_rs, 1),
-                    "speedup_vs_node": round(speedup, 2),
-                    "speedup_vs_kernel": round(s_rs / kern_rs, 2),
-                }
-            if k == 1 and overhead_gated and \
-                    speedup < 1.0 / SHARD_OVERHEAD_LIMIT:
-                print(f"{name:>14} [1 shard]: pool overhead "
-                      f"{1.0 / speedup:.2f}x exceeds the "
-                      f"{SHARD_OVERHEAD_LIMIT:.2f}x limit")
-                status = 1
-            if k == gate_k and speedup_gated and \
-                    speedup < SHARD_SPEEDUP_TARGET:
-                print(f"{name:>14} [{k} shards]: speedup {speedup:.2f}x "
-                      f"below the {SHARD_SPEEDUP_TARGET:.1f}x gate")
-                status = 1
-            if not kernel_workers:
-                continue
             sk_rs, sk_rounds, sk_out = _time_sharded_workload(
-                g, go, k, reps, tier="sharded-kernel")
+                g, go, ExecutionPlan(tier="sharded-kernel", shards=k), reps)
             assert sk_out == base_out and sk_rounds == base_rounds, (
                 f"{name}: sharded-kernel ({k}) and in-process runs "
                 f"disagree!")
             sk_speedup = sk_rs / kern_rs
-            print(f"{name:>14} [{k} shard(s), kernel workers]: "
-                  f"{sk_rs:8.1f} r/s   {sk_speedup:.2f}x kernel   "
+            print(f"{name:>14} [{k} shard(s)]: {sk_rs:8.1f} r/s   "
+                  f"{sk_speedup:.2f}x kernel   "
                   f"{sk_rs / node_rs:.2f}x per-node")
             if record is not None:
-                record[name][f"shards_{k}"].update({
+                record[name][f"shards_{k}"] = {
                     "sharded_kernel_rounds_per_sec": round(sk_rs, 1),
                     "sharded_kernel_speedup_vs_kernel": round(sk_speedup, 2),
                     "sharded_kernel_speedup_vs_node": round(
                         sk_rs / node_rs, 2),
-                })
+                }
             if k == gate_k and speedup_gated and \
                     sk_speedup < SHARD_SPEEDUP_TARGET:
-                print(f"{name:>14} [{k} shards, kernel workers]: speedup "
-                      f"{sk_speedup:.2f}x below the "
-                      f"{SHARD_SPEEDUP_TARGET:.1f}x gate")
+                print(f"{name:>14} [{k} shards]: speedup {sk_speedup:.2f}x "
+                      f"below the {SHARD_SPEEDUP_TARGET:.1f}x gate")
                 status = 1
     if speedup_gated:
         gate_note = f"enforced ({cores} cores >= {gate_k} shards)"
@@ -612,23 +487,10 @@ def _bench_shards(n: int, shard_counts, reps: int, record=None,
     else:
         gate_note = (f"skipped ({cores} core(s) < {gate_k} shards: "
                      f"no parallel speedup is physically possible)")
-    overhead_note = (f"enforced ({cores} cores)" if overhead_gated else
-                     "skipped (1 core(s): coordinator and worker "
-                     "time-share it, inflating the measured barrier "
-                     "overhead)")
-    print(f"gates (vs the per-node baseline the per-node workers run): "
-          f"1-shard overhead <= {SHARD_OVERHEAD_LIMIT:.2f}x "
-          f"{overhead_note}; "
+    print(f"gate (vs the in-process kernel baseline): "
           f">= {SHARD_SPEEDUP_TARGET:.1f}x at {gate_k} shards {gate_note}")
     if record is not None:
-        record["speedup_gate"] = gate_note
-        record["overhead_gate"] = overhead_note
-    if kernel_workers:
-        print(f"kernel-worker gate (vs the in-process kernel baseline): "
-              f">= {SHARD_SPEEDUP_TARGET:.1f}x at {gate_k} shards "
-              f"{gate_note}")
-        if record is not None:
-            record["sharded_kernel_speedup_gate"] = gate_note
+        record["sharded_kernel_speedup_gate"] = gate_note
     return status
 
 
@@ -647,15 +509,13 @@ def main(argv=None) -> int:
                              "CSR flood workload instead")
     parser.add_argument("--kernels", action="store_true",
                         help="measure the vectorized kernel fast path "
-                             "against per-node dispatch instead (with "
-                             "--shards: also time kernel-running shard "
-                             "workers, the sharded_kernel_rounds_per_sec "
-                             "column)")
+                             "against per-node dispatch instead (no "
+                             "effect beside --shards)")
     parser.add_argument("--shards", nargs="?", const="1,2,4", default=None,
                         metavar="K[,K...]",
-                        help="measure the sharded multi-core executor at "
-                             "these shard counts (default 1,2,4) against "
-                             "the in-process kernel path instead")
+                        help="measure the sharded-kernel tier at these "
+                             "shard counts (default 1,2,4) against the "
+                             "in-process kernel path instead")
     parser.add_argument("--reps", type=int, default=5,
                         help="best-of repetitions per measurement "
                              "(default 5)")
@@ -683,8 +543,7 @@ def main(argv=None) -> int:
         os.environ.pop(SHARDS_ENV, None)  # the env switch beats shards=
         shard_record = {}
         status = _bench_shards(args.n, shard_counts, reps,
-                               record=shard_record,
-                               kernel_workers=args.kernels)
+                               record=shard_record)
         if args.json is not None:
             report = {
                 "meta": {
@@ -702,10 +561,7 @@ def main(argv=None) -> int:
                 },
                 "shards": shard_record,
                 "gates": {
-                    "shard_speedup_target": SHARD_SPEEDUP_TARGET,
-                    "shard_overhead_limit": SHARD_OVERHEAD_LIMIT,
-                    **({"sharded_kernel_speedup_target":
-                        SHARD_SPEEDUP_TARGET} if args.kernels else {}),
+                    "sharded_kernel_speedup_target": SHARD_SPEEDUP_TARGET,
                     "passed": status == 0,
                 },
             }
@@ -742,7 +598,6 @@ def main(argv=None) -> int:
                     "nodes": args.n,
                     "reps": args.reps,
                     "numpy": kernels._np is not None,
-                    "numba": compiled_mod.numba_available(),
                     "python": platform.python_version(),
                     "machine": platform.machine(),
                     "smoke": bool(args.smoke),
@@ -751,8 +606,6 @@ def main(argv=None) -> int:
                 "gates": {
                     "numpy_speedup_target": NUMPY_SPEEDUP_TARGET,
                     "fallback_speedup_target": FALLBACK_SPEEDUP_TARGET,
-                    "compiled_node_target": COMPILED_NODE_TARGET,
-                    "compiled_kernel_target": COMPILED_KERNEL_TARGET,
                     "gated_workloads": list(GATED_WORKLOADS),
                     "regression_tolerance": REGRESSION_TOLERANCE,
                     "passed": status == 0,
@@ -773,12 +626,12 @@ def main(argv=None) -> int:
     flood_speedup = _report(
         "flood",
         _flood("legacy", n_side, args.p, args.rounds),
-        _flood("csr", n_side, args.p, args.rounds),
+        _flood("auto", n_side, args.p, args.rounds),
         record=engines)
     _report(
         "israeli_itai",
         _israeli("legacy", n_side, args.p),
-        _israeli("csr", n_side, args.p),
+        _israeli("auto", n_side, args.p),
         record=engines)
     print(f"headline: CSR engine delivers {flood_speedup:.2f}x rounds/sec "
           f"on the flood workload (target >= 3x)")

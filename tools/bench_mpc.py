@@ -61,7 +61,6 @@ import time
 
 from repro.graphs.generators import gnp
 from repro.matching.verify import is_maximal, verify_matching
-from repro.models import ExecutionPlan
 from repro.mpc import (
     MIN_MACHINE_WORDS,
     MemoryExceeded,
@@ -158,7 +157,7 @@ def _throughput(n, p, seeds, label):
     vectorized rung is unavailable (numpy-free hosts) — the node tier is
     then the only rung and there is nothing to compare.
     """
-    why = unavailable_reason(ExecutionPlan())
+    why = unavailable_reason()
     if why is not None:
         note = f"skipped ({why})"
         print(f"throughput[{label}]: {note}")
