@@ -60,11 +60,11 @@ Quick start::
     print(result.rounds,  # supersteps
           result.network_metrics.memory_peak_words)
 
-Every entry point shares the keyword surface ``(graph, *, eps/k, seed,
-policy, max_rounds, observe, trace, profile, execution)`` and returns a
-:class:`MatchingResult` (``tracer=`` still works, deprecated).
-``execution=`` takes a tier name or an
-:class:`~repro.models.execution.ExecutionPlan`.
+Every distributed entry point shares the keyword surface ``(graph, *,
+eps/k, seed, policy, max_rounds, observe, trace, profile, execution)``
+and returns a :class:`MatchingResult`; the sequential references
+``exact_mcm``/``exact_mwm`` take only the graph.  ``execution=`` takes a
+tier name or an :class:`~repro.models.execution.ExecutionPlan`.
 """
 
 from .core import (
@@ -93,7 +93,7 @@ from .graphs import BipartiteGraph, Graph
 from .matching import Matching
 from .stream import EdgeUpdate, MatchingService, StreamResult
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ALGORITHMS",

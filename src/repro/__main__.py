@@ -21,7 +21,7 @@ Usage::
 ``match`` reads an edge-list file (see :mod:`repro.graphs.io`), runs the
 appropriate paper algorithm, and prints the verified result.  ``trace``
 and ``profile`` run an algorithm under the structured event bus
-(:mod:`repro.congest.events`): ``trace`` streams/renders the JSONL event
+(:mod:`repro.observe.events`): ``trace`` streams/renders the JSONL event
 timeline, ``profile`` prints the per-protocol/per-phase cost table.
 ``stream`` drives the dynamic :class:`~repro.stream.service.MatchingService`
 over a switch-churn workload (or a recorded JSONL update stream via
@@ -42,6 +42,19 @@ from .graphs.graph import Graph
 from .graphs.io import read_edge_list
 from .models.base import CONGEST_MODEL, MPC_MODEL, ComputationModel
 from .models.execution import MPC_TIERS, TIERS, ExecutionPlan
+
+#: registry names ``trace``/``profile`` can run: the sequential references
+#: take only the graph, and the stream entries report no rounds
+OBSERVABLE_ALGORITHMS = tuple(sorted(
+    set(ALGORITHMS) - {"exact_mcm", "exact_mwm", "stream",
+                       "matching_service"}))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line (``prog: error: ...``), exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _execution_error(tier: Optional[str],
@@ -177,9 +190,22 @@ def _algorithm_kwargs(args: argparse.Namespace) -> dict:
         # the MPC entry point's knob is the memory exponent, not eps
         kwargs["alpha"] = getattr(args, "alpha", 0.5)
     elif args.algorithm not in ("maximal", "maximal_matching",
-                                "israeli_itai", "exact_mcm", "exact_mwm"):
+                                "israeli_itai"):
         kwargs["eps"] = args.eps
     return kwargs
+
+
+def _run_observed(args: argparse.Namespace, graph: Graph, **observe):
+    """Run ``--algorithm`` with the observability keywords; None (after
+    one stderr line) when the MPC memory guard trips."""
+    from .mpc import MemoryExceeded
+
+    try:
+        return run_algorithm(args.algorithm, graph, **observe,
+                             **_algorithm_kwargs(args))
+    except MemoryExceeded as exc:
+        print(f"memory guard tripped: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_mpc(args: argparse.Namespace) -> int:
@@ -254,9 +280,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     out = args.out or "trace.jsonl"
     writer = JsonlTraceWriter(out, messages=args.messages,
                               sample=args.sample)
-    result = run_algorithm(args.algorithm, graph, trace=writer,
-                           **_algorithm_kwargs(args))
+    result = _run_observed(args, graph, trace=writer)
     writer.close()
+    if result is None:
+        return 1
     print(f"{result.algorithm}: size={result.size} "
           f"rounds={result.rounds} -> {writer.count} event(s) in {out}")
     if args.render:
@@ -266,8 +293,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, args.seed)
-    result = run_algorithm(args.algorithm, graph, profile=True,
-                           **_algorithm_kwargs(args))
+    result = _run_observed(args, graph, profile=True)
+    if result is None:
+        return 1
     print(f"{result.algorithm}: size={result.size} rounds={result.rounds}")
     print()
     print(result.profile.table())
@@ -327,7 +355,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Distributed approximate matching (CONGEST) toolkit",
     )
@@ -371,12 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the matched edges")
     match.set_defaults(func=_cmd_match)
 
-    algo_names = ", ".join(sorted(ALGORITHMS))
+    algo_names = ", ".join(OBSERVABLE_ALGORITHMS)
     trace = sub.add_parser(
         "trace", help="record or inspect a structured JSONL event trace")
     trace.add_argument("graph", nargs="?",
                        help="edge-list path, bipartite:NLxNR:P, or gnp:N:P")
     trace.add_argument("--algorithm", default="mcm",
+                       choices=OBSERVABLE_ALGORITHMS, metavar="NAME",
                        help=f"registry name (default mcm; one of: {algo_names})")
     trace.add_argument("--eps", type=float, default=0.25)
     trace.add_argument("--alpha", type=float, default=0.5,
@@ -402,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("graph",
                       help="edge-list path, bipartite:NLxNR:P, or gnp:N:P")
     prof.add_argument("--algorithm", default="mcm",
+                      choices=OBSERVABLE_ALGORITHMS, metavar="NAME",
                       help=f"registry name (default mcm; one of: {algo_names})")
     prof.add_argument("--eps", type=float, default=0.25)
     prof.add_argument("--alpha", type=float, default=0.5,

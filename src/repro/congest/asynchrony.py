@@ -167,23 +167,16 @@ class AsyncNetwork:
         self._delay_rng = random.Random(seed ^ 0x5DEECE66D)
         self._run_counter = 0
         from ..dist.random_tools import (  # late: repro.dist init cycle
-            additive_node_rng_requested,
             node_seed_from_prefix,
             node_stream_prefix,
-            node_stream_seed,
         )
-        self._node_stream_seed = node_stream_seed
         self._node_stream_prefix = node_stream_prefix
         self._node_seed_from_prefix = node_seed_from_prefix
-        self._rng_additive = additive_node_rng_requested()
         self._rng_prefix = (-1, -1, 0)
 
     def node_rng(self, node_id: int, salt: int = 0) -> random.Random:
         # identical mixing to Network.node_rng at the same run counter, so a
         # program's random stream matches its synchronous execution
-        if self._rng_additive:
-            return random.Random(self._node_stream_seed(
-                self.seed, self._run_counter, node_id, salt, additive=True))
         run, cached_salt, prefix = self._rng_prefix
         if run != self._run_counter or cached_salt != salt:
             prefix = self._node_stream_prefix(self.seed, self._run_counter,

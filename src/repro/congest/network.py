@@ -29,7 +29,7 @@ shard workers (:mod:`repro.congest.sharding`).  ``execution="node"``
 keeps batched delivery but opts out of kernels, and is therefore the
 per-node reference the kernel goldens compare against.
 
-Observability rides the :class:`~repro.congest.events.EventBus`
+Observability rides the :class:`~repro.observe.events.EventBus`
 (``observe=``): **both** engines emit the same structured events — attaching
 an observer never changes the engine, and dispatch is always-fast.  The
 engines ask ``bus.wants(kind)`` once per round, so a network with no
@@ -48,7 +48,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .._compat import warn_deprecated
 from ..graphs.graph import Graph
 from ..models.execution import ExecutionDecision, as_plan, resolve_execution
 from ..observe.events import (
@@ -64,7 +63,6 @@ from ..observe.events import (
 )
 from .message import payload_bits, payload_bits_fast
 from ..runtime.metrics import Metrics
-from ..observe.tracing import Tracer
 from .node import BROADCAST, NodeAlgorithm, NodeContext
 from .policies import CONGEST, BandwidthPolicy
 
@@ -92,8 +90,17 @@ class FaultSpec:
     ``loss`` is the i.i.d. per-message drop probability; drops happen
     *after* metric accounting (the message was sent and paid for — it just
     never arrives), mirroring a real lossy link.  ``seed`` overrides the
-    drop stream's seed (defaults to the network seed, which reproduces the
-    historical :class:`~repro.congest.faults.LossyNetwork` drop pattern).
+    drop stream's seed (defaults to the network seed).
+
+    Fault injection is what happens when the paper's assumptions break.
+    The paper assumes reliable synchronous communication (footnote 2: "we
+    do not consider faults"); ``Network(..., faults=FaultSpec(loss=0.05))``
+    makes that assumption *testable*: each delivered message is dropped
+    independently with probability ``loss``, so one can watch the
+    algorithms misbehave and the distributed self-checkers of
+    :mod:`repro.dist.checkers` catch the damage.  Faults compose with
+    either delivery engine and with any observer; they exist for
+    experiments and tests, not as a recommended execution mode.
     """
 
     loss: float = 0.0
@@ -109,11 +116,11 @@ class RunResult:
     """Outcome of one protocol execution.
 
     ``metrics`` is the cost of *this* run alone (a
-    :meth:`~repro.congest.metrics.Metrics.delta_since` snapshot of the
+    :meth:`~repro.runtime.metrics.Metrics.delta_since` snapshot of the
     network's cumulative account), so callers no longer need to snapshot
     and diff ``network.metrics`` around every call.  ``profile`` is a
-    :class:`~repro.congest.profiling.ProfileReport` snapshot when a
-    :class:`~repro.congest.profiling.Profiler` is subscribed to the
+    :class:`~repro.observe.profiling.ProfileReport` snapshot when a
+    :class:`~repro.observe.profiling.Profiler` is subscribed to the
     network's bus (None otherwise).
     """
 
@@ -144,14 +151,14 @@ class Network:
 
     ``observe`` attaches observability: an :class:`EventBus`, a single
     observer, or a list of observers (each subscribed with its own
-    interest mask — see :mod:`repro.congest.events`).  Attaching an
-    observer never changes the engine.  ``faults`` injects link faults
-    (:class:`FaultSpec`); the historical ``tracer=`` keyword still works
-    but is deprecated — it wraps the :class:`Tracer` in a bus subscriber.
+    interest mask — see :mod:`repro.observe.events`); a
+    :class:`~repro.observe.tracing.Tracer` is attached as
+    ``observe=[tracer]``.  Attaching an observer never changes the
+    engine.  ``faults`` injects link faults (:class:`FaultSpec`).
     """
 
     def __init__(self, graph: Graph, policy: BandwidthPolicy = CONGEST,
-                 seed: int = 0, tracer: Optional[Tracer] = None,
+                 seed: int = 0,
                  max_rounds: Optional[int] = None,
                  observe: Any = None,
                  faults: Optional[FaultSpec] = None,
@@ -176,19 +183,15 @@ class Network:
         self._dict_engine = plan.tier == "legacy"
         self._sharded_execs: Dict[int, Any] = {}
 
-        # per-node random streams: splitmix64 spawn_seed chain by default,
-        # legacy additive mixing behind REPRO_ADDITIVE_NODE_RNG=1 (imported
-        # late — repro.dist's package init itself imports this module)
+        # per-node random streams: the splitmix64 spawn_seed chain
+        # (imported late — repro.dist's package init itself imports this
+        # module)
         from ..dist.random_tools import (
-            additive_node_rng_requested,
             node_seed_from_prefix,
             node_stream_prefix,
-            node_stream_seed,
         )
-        self._node_stream_seed = node_stream_seed
         self._node_stream_prefix = node_stream_prefix
         self._node_seed_from_prefix = node_seed_from_prefix
-        self._rng_additive = additive_node_rng_requested()
         self._rng_prefix: Tuple[int, int, int] = (-1, -1, 0)  # (run, salt, pre)
 
         # observability: explicit observe= wins, else the ambient bus of an
@@ -205,15 +208,9 @@ class Network:
                     self.bus.subscribe(observer)
         else:
             self.bus = ambient_bus()
-        self.tracer = tracer
-        if tracer is not None:
-            warn_deprecated("network_tracer", stacklevel=2)
-            if self.bus is None or self.bus is ambient_bus():
-                self.bus = EventBus()
-            self.bus.subscribe(tracer)
 
-        # fault injection (the former LossyNetwork, folded into the core
-        # constructor so it composes with any engine and any observer)
+        # fault injection: a constructor argument, so it composes with any
+        # engine and any observer
         self.faults = faults
         self.dropped = 0
         if faults is not None and faults.loss > 0.0:
@@ -264,14 +261,9 @@ class Network:
 
         Seeds come from the splitmix64 :func:`~repro.dist.random_tools.
         spawn_seed` chain keyed by ``(seed, run, salt, node)``, so distinct
-        streams can never alias (the historical additive formula could —
-        set ``REPRO_ADDITIVE_NODE_RNG=1`` to restore it for goldens pinned
-        against the old streams).  The per-run chain prefix is cached, so
+        streams can never alias.  The per-run chain prefix is cached, so
         spinning up all n streams costs one finalization per node.
         """
-        if self._rng_additive:
-            return random.Random(self._node_stream_seed(
-                self.seed, self._run_counter, node_id, salt, additive=True))
         run, cached_salt, prefix = self._rng_prefix
         if run != self._run_counter or cached_salt != salt:
             prefix = self._node_stream_prefix(self.seed, self._run_counter,
@@ -462,12 +454,12 @@ class Network:
 
     # ------------------------------------------------------------------
     def subnetwork(self, graph: Graph, **kwargs: Any) -> Any:
-        """Spawn a :class:`~repro.congest.runtime.Subnetwork` over ``graph``.
+        """Spawn a :class:`~repro.runtime.driver.Subnetwork` over ``graph``.
 
         The child inherits this network's policy, plan, fault spec, event
         bus (scoped under a ``PhaseStart``/``PhaseEnd`` pair) and seed
         stream, and folds its cost back into this network's metrics on
-        exit — see :mod:`repro.congest.runtime` for the fold modes.
+        exit — see :mod:`repro.runtime.driver` for the fold modes.
         """
         from ..runtime.driver import Subnetwork
 
@@ -526,8 +518,8 @@ class Network:
     def _apply_faults(self, inboxes: Dict[int, Dict[int, Any]]) -> None:
         """Drop delivered messages i.i.d. with ``faults.loss``.
 
-        Iteration order (sorted receivers, sorted senders) and the rng
-        stream reproduce the historical LossyNetwork drop pattern exactly.
+        Iteration order is sorted receivers, then sorted senders, so the
+        drop pattern is a pure function of the fault seed on every engine.
         """
         loss = self.faults.loss
         rng_random = self._fault_rng.random

@@ -24,7 +24,7 @@ ShardContext` for the worker-side services and each kernel's ``shard_*``
 hooks for the per-protocol record layouts.
 
 The executor is **golden-equivalent** to the single-process engine:
-identical outputs, round counts, :class:`~repro.congest.metrics.Metrics`
+identical outputs, round counts, :class:`~repro.runtime.metrics.Metrics`
 (physical account), per-node random streams, structural event stream
 (``RoundStart``/``RoundEnd``) and error behavior, enforced by
 ``tests/test_sharding.py``.  The coordinator replays ``Network.run``'s
@@ -398,7 +398,6 @@ class _WorkerSpec:
     owner: Tuple[int, ...]
     policy: Any
     seed: int
-    rng_additive: bool
     halo_bytes: int
     timeout: float
 
@@ -417,9 +416,7 @@ class _ShardWorker:
         from ..dist.random_tools import (
             node_seed_from_prefix,
             node_stream_prefix,
-            node_stream_seed,
         )
-        self._node_stream_seed = node_stream_seed
         self._node_stream_prefix = node_stream_prefix
         self._node_seed_from_prefix = node_seed_from_prefix
         self._rng_prefix: Tuple[int, int] = (-1, 0)  # (run, prefix)
@@ -441,9 +438,6 @@ class _ShardWorker:
     # -- infrastructure ------------------------------------------------
     def node_rng(self, run_counter: int, node_id: int) -> random.Random:
         """Bit-identical replica of ``Network.node_rng`` (salt 0)."""
-        if self.spec.rng_additive:
-            return random.Random(self._node_stream_seed(
-                self.spec.seed, run_counter, node_id, 0, additive=True))
         run, prefix = self._rng_prefix
         if run != run_counter:
             prefix = self._node_stream_prefix(self.spec.seed, run_counter, 0)
@@ -837,8 +831,8 @@ class ShardedNetwork:
             spec = _WorkerSpec(
                 worker=w, k=self.k, base=base, meta_name=self._meta.name,
                 csr=net.csr, owner=self.partition.owner, policy=net.policy,
-                seed=net.seed, rng_additive=net._rng_additive,
-                halo_bytes=INITIAL_HALO_BYTES, timeout=self.timeout)
+                seed=net.seed, halo_bytes=INITIAL_HALO_BYTES,
+                timeout=self.timeout)
             proc = ctx.Process(target=_shard_worker_main,
                                args=(spec, self._barrier, child_conn),
                                daemon=True, name=f"repro-shard-{w}")

@@ -22,39 +22,35 @@ round/message/bit account of the distributed run:
 * :func:`run` — the single facade: ``repro.run("mcm", graph, eps=0.25)``.
 
 Observability: ``observe=`` attaches an event bus or observers to the run's
-network (see :mod:`repro.congest.events`); ``trace=path`` streams the run's
-structured events to a JSONL file (reloadable via
-:func:`~repro.congest.events.load_trace`, path echoed as
+network (see :mod:`repro.observe.events`; a
+:class:`~repro.observe.tracing.Tracer` rides along as ``observe=[tracer]``);
+``trace=path`` streams the run's structured events to a JSONL file
+(reloadable via :func:`~repro.observe.events.load_trace`, path echoed as
 ``MatchingResult.trace_path``); ``profile=True`` attaches a
-:class:`~repro.congest.profiling.Profiler` and surfaces its report as
+:class:`~repro.observe.profiling.Profiler` and surfaces its report as
 ``MatchingResult.profile``.  All three compose, and none of them changes
 the delivery engine or the run's outputs.  Algorithms that run
 sub-protocols on derived graphs (the conflict-graph MIS of the generic
 algorithm, HV's per-class MIS, Algorithm 5's black boxes) do so through
-:class:`~repro.congest.runtime.Subnetwork`, so their events appear nested
+:class:`~repro.runtime.driver.Subnetwork`, so their events appear nested
 in traces/profiles and their cost shows up on the same result:
 ``MatchingResult.rounds`` is the parent's physical account (unchanged
 from earlier releases) and ``MatchingResult.rounds_total`` additionally
 counts the virtual sub-protocol rounds
 (``network_metrics.sub_rounds``/``subnetwork_rounds``).
 
-Every distributed result is verified (:class:`Certificate`).  The pre-1.1
-positional forms (``approx_mcm(g, 0.25, 3)``) still work but emit a
-:class:`DeprecationWarning`, as does the pre-1.2 ``tracer=`` keyword
-(wrap the :class:`Tracer` via ``observe=[tracer]`` instead).
+Every distributed result is verified (:class:`Certificate`).  Everything
+after the graph is keyword-only.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Union
 
-from .._compat import warn_deprecated
-from ..observe.events import EventBus, JsonlTraceWriter
 from ..congest.network import Network
 from ..congest.policies import CONGEST, LOCAL, PIPELINE, BandwidthPolicy
 from ..observe.profiling import ObservabilityScope, Profiler
-from ..observe.tracing import Tracer
 from ..graphs.graph import BipartiteGraph, Graph
 from ..matching.core import Matching
 from ..matching.sequential.blossom import max_cardinality
@@ -75,38 +71,6 @@ def _is_bipartite(graph: Graph) -> bool:
     return graph.bipartition() is not None
 
 
-def _positional_shim(func: str, args: tuple, names: Tuple[str, ...],
-                     current: tuple) -> tuple:
-    """Absorb deprecated positional arguments into the keyword surface."""
-    if len(args) > len(names):
-        raise TypeError(
-            f"{func}() takes at most {len(names) + 1} positional arguments "
-            f"({len(args) + 1} given)"
-        )
-    shown = ", ".join(f"{n}=..." for n in names[:len(args)])
-    warn_deprecated("positional_args", stacklevel=3, func=func,
-                    shown=shown)
-    merged = list(current)
-    merged[:len(args)] = args
-    return tuple(merged)
-
-
-#: Shared resolver of the ``observe``/``trace``/``profile`` trio.  Lives in
-#: :mod:`repro.congest.profiling` so the streaming service can use it too;
-#: the historical private name stays as an alias.
-_Observability = ObservabilityScope
-
-
-def _build_network(graph: Graph, policy: BandwidthPolicy, seed: int,
-                   tracer: Optional[Tracer],
-                   max_rounds: Optional[int],
-                   observe: Any = None,
-                   execution: Any = None) -> Network:
-    return Network(graph, policy=policy, seed=seed, tracer=tracer,
-                   max_rounds=max_rounds, observe=observe,
-                   execution=execution)
-
-
 def eps_to_k(eps: float) -> int:
     """Phases needed for a (1 - eps) guarantee: (1 - 1/(k+1)) >= 1 - eps."""
     if not 0 < eps < 1:
@@ -114,11 +78,10 @@ def eps_to_k(eps: float) -> int:
     return max(1, math.ceil(1.0 / eps) - 1)
 
 
-def approx_mcm(graph: Graph, *args, eps: float = 0.25,
+def approx_mcm(graph: Graph, *, eps: float = 0.25,
                k: Optional[int] = None, seed: int = 0,
                model: str = "congest",
                policy: Optional[BandwidthPolicy] = None,
-               tracer: Optional[Tracer] = None,
                max_rounds: Optional[int] = None,
                observe: Any = None,
                trace: Any = None,
@@ -132,33 +95,29 @@ def approx_mcm(graph: Graph, *args, eps: float = 0.25,
     phase count directly (``eps`` is ignored then).  The certificate
     includes the exact optimum (computed sequentially for verification).
     """
-    if args:
-        eps, seed, model, policy = _positional_shim(
-            "approx_mcm", args, ("eps", "seed", "model", "policy"),
-            (eps, seed, model, policy))
     if k is None:
         k = eps_to_k(eps)
     elif k < 1:
         raise ValueError("k must be at least 1")
-    obs = _Observability(observe, trace, profile)
+    obs = ObservabilityScope(observe, trace, profile)
     if model == "local":
-        net = _build_network(graph, policy or LOCAL, seed, tracer, max_rounds,
-                             obs.observe, execution)
+        net = Network(graph, policy=policy or LOCAL, seed=seed,
+                      max_rounds=max_rounds, observe=obs.observe,
+                      execution=execution)
         res = generic_mcm(graph, k=k, seed=seed, network=net)
         matching, metrics, detail, name = (
             res.matching, res.metrics, res, "generic_mcm(local)"
         )
     elif model == "congest":
+        net = Network(graph, policy=policy or PIPELINE, seed=seed,
+                      max_rounds=max_rounds, observe=obs.observe,
+                      execution=execution)
         if _is_bipartite(graph):
-            net = _build_network(graph, policy or PIPELINE, seed, tracer,
-                                 max_rounds, obs.observe, execution)
             bres = bipartite_mcm(graph, k=k, seed=seed, network=net)
             matching, metrics, detail, name = (
                 bres.matching, bres.metrics, bres, "bipartite_mcm"
             )
         else:
-            net = _build_network(graph, policy or PIPELINE, seed, tracer,
-                                 max_rounds, obs.observe, execution)
             gres = general_mcm(graph, k=k, seed=seed, stopping="exact",
                                network=net)
             matching, metrics, detail, name = (
@@ -174,11 +133,10 @@ def approx_mcm(graph: Graph, *args, eps: float = 0.25,
         certificate=cert, metrics=metrics, detail=detail))
 
 
-def approx_mwm(graph: Graph, *args, eps: float = 0.1, seed: int = 0,
+def approx_mwm(graph: Graph, *, eps: float = 0.1, seed: int = 0,
                model: str = "congest", black_box: str = "class_greedy",
                reference: Optional[float] = None,
                policy: Optional[BandwidthPolicy] = None,
-               tracer: Optional[Tracer] = None,
                max_rounds: Optional[int] = None,
                observe: Any = None,
                trace: Any = None,
@@ -196,23 +154,20 @@ def approx_mwm(graph: Graph, *args, eps: float = 0.1, seed: int = 0,
     the bipartite optimum is computed exactly and general graphs get no
     reference (computing exact general MWM is outside the library's scope).
     """
-    if args:
-        eps, seed, model, black_box, reference = _positional_shim(
-            "approx_mwm", args,
-            ("eps", "seed", "model", "black_box", "reference"),
-            (eps, seed, model, black_box, reference))
-    obs = _Observability(observe, trace, profile)
+    obs = ObservabilityScope(observe, trace, profile)
     if model == "congest":
-        net = _build_network(graph, policy or CONGEST, seed, tracer,
-                             max_rounds, obs.observe, execution)
+        net = Network(graph, policy=policy or CONGEST, seed=seed,
+                      max_rounds=max_rounds, observe=obs.observe,
+                      execution=execution)
         res = approximate_mwm(graph, eps=eps, seed=seed, black_box=black_box,
                               network=net)
         matching, metrics, detail, name = (
             res.matching, res.metrics, res, f"algorithm5({black_box})"
         )
     elif model == "local":
-        net = _build_network(graph, policy or LOCAL, seed, tracer, max_rounds,
-                             obs.observe, execution)
+        net = Network(graph, policy=policy or LOCAL, seed=seed,
+                      max_rounds=max_rounds, observe=obs.observe,
+                      execution=execution)
         hres = hv_mwm(graph, eps=eps, seed=seed, network=net)
         matching, metrics, detail, name = (
             hres.matching, hres.metrics, hres, "hv_mwm(local)"
@@ -220,8 +175,9 @@ def approx_mwm(graph: Graph, *args, eps: float = 0.1, seed: int = 0,
     elif model == "auction":
         from ..dist.auction import auction_mwm
 
-        anet = _build_network(graph, policy or CONGEST, seed, tracer,
-                              max_rounds, obs.observe, execution)
+        anet = Network(graph, policy=policy or CONGEST, seed=seed,
+                       max_rounds=max_rounds, observe=obs.observe,
+                       execution=execution)
         amatching, anet = auction_mwm(graph, eps=eps, seed=seed, network=anet)
         matching, metrics, detail, name = (
             amatching, anet.metrics, None, "auction"
@@ -240,21 +196,18 @@ def approx_mwm(graph: Graph, *args, eps: float = 0.1, seed: int = 0,
         certificate=cert, metrics=metrics, detail=detail))
 
 
-def maximal_matching(graph: Graph, *args, seed: int = 0,
+def maximal_matching(graph: Graph, *, seed: int = 0,
                      policy: Optional[BandwidthPolicy] = None,
-                     tracer: Optional[Tracer] = None,
                      max_rounds: Optional[int] = None,
                      observe: Any = None,
                      trace: Any = None,
                      profile: Any = None,
                      execution: Any = None) -> MatchingResult:
     """The Israeli-Itai baseline: a maximal (hence 1/2-approximate) matching."""
-    if args:
-        seed, policy = _positional_shim(
-            "maximal_matching", args, ("seed", "policy"), (seed, policy))
-    obs = _Observability(observe, trace, profile)
-    net = _build_network(graph, policy or CONGEST, seed, tracer, max_rounds,
-                         obs.observe, execution)
+    obs = ObservabilityScope(observe, trace, profile)
+    net = Network(graph, policy=policy or CONGEST, seed=seed,
+                  max_rounds=max_rounds, observe=obs.observe,
+                  execution=execution)
     matching = israeli_itai(net)
     optimum = max_cardinality(graph).size
     cert = certify(graph, matching, optimum_size=optimum)
@@ -283,7 +236,7 @@ def mpc_maximal_matching(graph: Graph, *, alpha: float = 0.5, seed: int = 0,
     """
     from ..mpc import MPCCluster, mpc_maximal as _mpc_driver
 
-    obs = _Observability(observe, trace, profile)
+    obs = ObservabilityScope(observe, trace, profile)
     cluster = MPCCluster(graph, alpha=alpha, seed=seed,
                          observe=obs.observe, execution=execution)
     res = _mpc_driver(cluster, max_iterations=max_iterations)

@@ -17,7 +17,7 @@ class MatchingResult:
 
     ``metrics`` is ``None`` for sequential algorithms; ``detail`` carries the
     algorithm-specific result object (phase traces, iteration stats, ...).
-    ``profile`` is the :class:`~repro.congest.profiling.ProfileReport` when
+    ``profile`` is the :class:`~repro.observe.profiling.ProfileReport` when
     the run was profiled (``profile=True``), and ``trace_path`` the JSONL
     file written when it was traced (``trace=path``); both are ``None``
     otherwise.
@@ -57,7 +57,7 @@ class MatchingResult:
     def rounds_total(self) -> Optional[int]:
         """End-to-end rounds including emulated subnetwork rounds.
 
-        Sub-protocols run through :class:`repro.congest.runtime.Subnetwork`
+        Sub-protocols run through :class:`repro.runtime.driver.Subnetwork`
         (e.g. Luby MIS on a conflict graph) execute virtual rounds whose
         physical cost appears in ``rounds`` as an emulation charge; this
         property adds the raw virtual rounds on top — the complete picture

@@ -605,7 +605,7 @@ def luby_mis(network: Network, max_rounds: Optional[int] = None,
              context: str = "luby_mis") -> Set[int]:
     """Compute an MIS of ``network.graph``; returns the member node ids.
 
-    ``network`` may also be a :class:`~repro.congest.runtime.Subnetwork`,
+    ``network`` may also be a :class:`~repro.runtime.driver.Subnetwork`,
     so drivers can run the MIS directly inside a ``with`` block.
     """
     network = as_network(network)

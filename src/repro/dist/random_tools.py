@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 import random
 from typing import Dict, Sequence, Tuple, Union
 
@@ -64,37 +63,18 @@ def spawn_rng(seed: int, *path: PathElement) -> random.Random:
     return random.Random(spawn_seed(seed, *path))
 
 
-#: Environment variable restoring the pre-1.4 *additive* per-node seed
-#: mixing (value ``1``/``true``/``yes``/``on``) for runs whose goldens were
-#: pinned against the old streams.  The additive formula could alias
-#: distinct ``(seed, run, salt, node)`` quadruples (e.g. ``salt * 0x1003F``
-#: collides with node-id offsets); the splitmix64 chain cannot.
-ADDITIVE_NODE_RNG_ENV = "REPRO_ADDITIVE_NODE_RNG"
-
-
-def additive_node_rng_requested() -> bool:
-    """True when :data:`ADDITIVE_NODE_RNG_ENV` asks for the legacy mixing."""
-    flag = os.environ.get(ADDITIVE_NODE_RNG_ENV, "").strip().lower()
-    return flag in ("1", "true", "yes", "on")
-
-
 def node_stream_seed(seed: int, run_counter: int, node_id: int,
-                     salt: int = 0, additive: bool = False) -> int:
+                     salt: int = 0) -> int:
     """Seed of one node's private stream for one protocol run.
 
-    The default derivation routes through the :func:`spawn_seed` splitmix64
-    chain, so streams are collision-safe: distinct ``(seed, run, salt,
-    node)`` quadruples always yield distinct (and decorrelated) seeds.
-    ``additive=True`` reproduces the historical linear formula for
-    golden-pinned runs — both :class:`~repro.congest.network.Network` and
-    :class:`~repro.congest.asynchrony.AsyncNetwork` consult this helper, so
-    a program's random stream always matches between the two executors.
+    The derivation routes through the :func:`spawn_seed` splitmix64 chain,
+    so streams are collision-safe: distinct ``(seed, run, salt, node)``
+    quadruples always yield distinct (and decorrelated) seeds.  Both
+    :class:`~repro.congest.network.Network` and
+    :class:`~repro.congest.asynchrony.AsyncNetwork` derive node streams
+    from this chain, so a program's random stream always matches between
+    the two executors.
     """
-    if additive:
-        return (seed * _GAMMA
-                + run_counter * _FNV_PRIME
-                + salt * 0x1003F
-                + node_id) & _MASK64
     return spawn_seed(seed, "node", run_counter, salt, node_id)
 
 

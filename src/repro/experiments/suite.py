@@ -530,7 +530,7 @@ def t15_dynamic(n: int = 24, updates: int = 40,
     """Dynamic maintenance: Lemma 3.3 invariant under edge churn."""
     import random as _random
 
-    from ..dynamic.maintainer import DynamicMatcher
+    from ..stream.service import MatchingService
 
     table = Table(
         title=f"T15 Dynamic maintenance: k=2 invariant under {updates} "
@@ -540,19 +540,22 @@ def t15_dynamic(n: int = 24, updates: int = 40,
     )
     for seed in seeds:
         rng = _random.Random(seed)
-        dm = DynamicMatcher(k=2, graph=gnp(n, 0.15, rng=seed))
+        # per-event repair: the legacy worklist, one commit per update
+        svc = MatchingService(gnp(n, 0.15, rng=seed), k=2, repair="legacy")
         for _ in range(updates):
             u, v = rng.sample(range(n), 2)
-            if dm.graph.has_edge(u, v):
-                dm.delete_edge(u, v)
+            if svc.graph.has_edge(u, v):
+                svc.delete_edge(u, v)
+                svc.commit(operation="delete_edge")
             else:
-                dm.insert_edge(u, v)
-        ops = [h for h in dm.history if h.operation != "init"]
+                svc.insert_edge(u, v)
+                svc.commit(operation="insert_edge")
+        ops = svc.history[1:]  # drop the init pass
         table.add_row(
             seed,
-            dm.current_ratio(),
-            dm.guarantee,
-            dm.verify_invariant(),
+            svc.current_ratio(),
+            svc.guarantee,
+            svc.verify_invariant(),
             _mean(h.augmentations for h in ops),
             _mean(h.nodes_explored for h in ops),
         )
@@ -762,8 +765,8 @@ def run_all(names: Optional[Sequence[str]] = None,
 
     ``trace_dir`` streams every network the experiments build to one JSONL
     trace per experiment (``<trace_dir>/<name>.jsonl``), via the ambient
-    :func:`~repro.congest.events.observing` context; ``profile=True``
-    attaches a :class:`~repro.congest.profiling.Profiler` per experiment
+    :func:`~repro.observe.events.observing` context; ``profile=True``
+    attaches a :class:`~repro.observe.profiling.Profiler` per experiment
     and stores its report as ``table.profile``.  Both are serial-only
     (worker processes do not inherit the ambient observer) and therefore
     incompatible with ``jobs``/``cache_dir``.

@@ -3,8 +3,8 @@
 A :class:`Profiler` subscribes to the structural round and phase events and
 accumulates, per protocol, the wall-clock time, round count, message count
 and bit volume — and, per algorithm phase, the inclusive wall-clock and
-traffic between its :class:`~repro.congest.events.PhaseStart` and
-:class:`~repro.congest.events.PhaseEnd`.  Because it rides the bus, a
+traffic between its :class:`~repro.observe.events.PhaseStart` and
+:class:`~repro.observe.events.PhaseEnd`.  Because it rides the bus, a
 profiled run stays on the batched CSR engine and its outputs are
 bit-identical to an unprofiled run.
 

@@ -13,9 +13,6 @@ The machinery here is shared by every computation model:
 * :class:`Subnetwork` — run a child protocol on a derived graph inside a
   parent CONGEST network, folding cost back on exit.
 * :class:`ProtocolResult` — the common result base.
-
-Hoisted verbatim from ``repro.congest.runtime`` / ``.metrics``; the old
-module paths remain as golden-pinned shims.
 """
 
 from .driver import (
@@ -24,7 +21,6 @@ from .driver import (
     ProtocolResult,
     Subnetwork,
     as_network,
-    nested_network,
     register_map,
 )
 from .metrics import Metrics
@@ -36,6 +32,5 @@ __all__ = [
     "ProtocolResult",
     "Subnetwork",
     "as_network",
-    "nested_network",
     "register_map",
 ]

@@ -13,9 +13,9 @@ loops:
   parent's seed stream (via :func:`repro.dist.random_tools.spawn_seed`),
   :class:`~repro.congest.network.FaultSpec`, event bus (child events are
   nested under a scoped ``PhaseStart``/``PhaseEnd`` pair, so any
-  :class:`~repro.congest.profiling.Profiler` on the bus sees them),
+  :class:`~repro.observe.profiling.Profiler` on the bus sees them),
   execution plan and bandwidth policy, and its cost is folded back into
-  the parent :class:`~repro.congest.metrics.Metrics` on exit.
+  the parent :class:`~repro.runtime.metrics.Metrics` on exit.
 
 * :class:`PhaseDriver` — the shared phase-loop scaffold (scoped phase
   events, augmentation events, subnetwork spawning) that the distributed
@@ -41,7 +41,7 @@ Cost folding comes in three modes (``fold=``):
 ``"absorb"``
     The child runs over the same physical network, so its metrics are
     absorbed verbatim into the parent's physical account
-    (:meth:`~repro.congest.metrics.Metrics.absorb`) — Algorithm 5's black
+    (:meth:`~repro.runtime.metrics.Metrics.absorb`) — Algorithm 5's black
     boxes.  Only the per-label breakdown is recorded in the subnetwork
     account (no double count in ``rounds_total``).
 
@@ -60,7 +60,6 @@ from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
 from typing import TYPE_CHECKING
 
-from .._compat import warn_deprecated
 from ..matching.core import Matching
 from ..observe.events import AUGMENTATION, PHASE_START, Augmentation, PhaseEnd, PhaseStart
 from .metrics import Metrics
@@ -76,7 +75,6 @@ __all__ = [
     "ProtocolResult",
     "as_network",
     "register_map",
-    "nested_network",
 ]
 
 FOLD_MODES = ("emulate", "absorb", "none")
@@ -342,7 +340,7 @@ class ProtocolResult:
 
     @property
     def metrics(self) -> Optional[Metrics]:
-        """The network's cumulative cost account (None when detached)."""
+        """The network's cumulative cost account (None without a network)."""
         return self.network.metrics if self.network is not None else None
 
     @property
@@ -371,24 +369,3 @@ def register_map(outputs: Dict[int, Any], key: str = "mate",
         else:
             result[v] = default
     return result
-
-
-def nested_network(parent: Network, graph: Any,
-                   seed: Optional[int] = None,
-                   policy: Optional[BandwidthPolicy] = None,
-                   execution: Any = None) -> Network:
-    """Deprecated: build a *detached* child network the pre-runtime way.
-
-    This reproduces what drivers did before :class:`Subnetwork` existed —
-    a fresh :class:`Network` that inherits nothing (no faults, no bus, no
-    metrics folding).  Kept one release as a shim for external drivers;
-    use ``parent.subnetwork(...)`` / :class:`Subnetwork` instead.
-    """
-    warn_deprecated("nested_network", stacklevel=2)
-    from ..congest.network import Network
-    return Network(
-        graph,
-        policy=policy if policy is not None else parent.policy,
-        seed=seed if seed is not None else parent.seed,
-        execution=execution,
-    )

@@ -10,9 +10,10 @@ Shared by ``python -m repro stream`` and ``tools/bench_stream.py``:
   (:class:`~repro.switchsim.updates.SwitchUpdateStream`): per cycle, the
   arrivals stream in, the service's latest epoch snapshot schedules the
   crossbar, and the served cells stream back as departures;
-* :func:`replay_events_legacy` — the per-event
-  :class:`~repro.dynamic.maintainer.DynamicMatcher` baseline the batched
-  service is benchmarked against.
+* :func:`replay_events_legacy` — the per-event baseline the batched
+  service is benchmarked against: a ``repair="legacy"``
+  :class:`~repro.stream.service.MatchingService` that commits after every
+  update.
 
 Each returns a :class:`ReplayReport` with throughput (updates/sec), commit
 latency percentiles, and the approximation-ratio spot checks that keep the
@@ -237,23 +238,16 @@ def replay_events_legacy(updates: Iterable[UpdateLike],
                          limit: Optional[int] = None,
                          clock: Callable[[], float] = time.perf_counter
                          ) -> ReplayReport:
-    """Per-event :class:`DynamicMatcher` baseline over the same stream.
+    """Per-event legacy-repair baseline over the same stream.
 
-    Every event triggers an immediate repair (the pre-batching cost
-    model).  Weight updates map to ``insert_edge`` — the maintainer's
-    closest analogue, which also repairs around the touched edge.
+    A ``repair="legacy"`` :class:`MatchingService` commits after every
+    event, so each one triggers an immediate repair (the pre-batching
+    cost model).  Weight updates map to ``insert_edge`` — the closest
+    per-event analogue, which also repairs around the touched edge.
     ``limit`` truncates the stream (the baseline is orders of magnitude
     slower; benchmarks extrapolate from a prefix).
     """
-    import warnings
-
-    from ..dynamic.maintainer import DynamicMatcher
-
-    with warnings.catch_warnings():
-        # the baseline exists to measure the deprecated per-event path
-        warnings.simplefilter("ignore", DeprecationWarning)
-        matcher = (DynamicMatcher(k=k, graph=graph) if graph is not None
-                   else DynamicMatcher(k=k))
+    service = MatchingService(graph, k=k, repair="legacy")
     events = 0
     latencies: List[float] = []
     t_start = clock()
@@ -263,13 +257,18 @@ def replay_events_legacy(updates: Iterable[UpdateLike],
         up = as_update(raw)
         t0 = clock()
         if up.op in ("insert", "weight"):
-            matcher.insert_edge(up.u, up.v, up.weight)
+            service.insert_edge(up.u, up.v, up.weight)
+            operation = "insert_edge"
         elif up.op == "delete":
-            matcher.delete_edge(up.u, up.v)
+            service.delete_edge(up.u, up.v)
+            operation = "delete_edge"
         elif up.op == "insert_node":
-            matcher.insert_node(up.u)
+            service.insert_node(up.u)
+            operation = "insert_node"
         else:
-            matcher.delete_node(up.u)
+            service.delete_node(up.u)
+            operation = "delete_node"
+        service.commit(operation=operation)
         latencies.append(clock() - t0)
         events += 1
     wall = clock() - t_start
@@ -279,6 +278,6 @@ def replay_events_legacy(updates: Iterable[UpdateLike],
         latency_p50=percentile(latencies, 50.0),
         latency_p95=percentile(latencies, 95.0),
         latency_p99=percentile(latencies, 99.0),
-        size=matcher.matching.size, epochs=events,
-        augmentations=sum(s.augmentations for s in matcher.history),
-        extra={"baseline": "DynamicMatcher"})
+        size=service.matching.size, epochs=events,
+        augmentations=service.augmentations_total,
+        extra={"baseline": "MatchingService(repair='legacy')"})

@@ -37,10 +37,10 @@ regions ride the same kernel tiers as static runs — and then
 certifies the invariant with a free-node-seeded repair pass.
 
 Observability mirrors the static API: ``observe=``/``trace=``/``profile=``
-resolve through :class:`~repro.congest.profiling.ObservabilityScope`, every
-batch emits :class:`~repro.congest.events.BatchStart` /
-:class:`~repro.congest.events.Repair` /
-:class:`~repro.congest.events.BatchEnd` (wrapped in a constant
+resolve through :class:`~repro.observe.profiling.ObservabilityScope`, every
+batch emits :class:`~repro.observe.events.BatchStart` /
+:class:`~repro.observe.events.Repair` /
+:class:`~repro.observe.events.BatchEnd` (wrapped in a constant
 ``phase="batch"`` pair so profilers aggregate all batches into one row),
 and :meth:`MatchingService.snapshot` returns an immutable per-epoch view
 that stays valid while further updates stream in.
@@ -172,10 +172,11 @@ class MatchingService:
     commit.
 
     ``repair="fast"`` (default) uses the coalescing worklist repair with
-    recompute escalation; ``repair="legacy"`` reproduces the historical
-    :class:`repro.dynamic.maintainer.DynamicMatcher` repair bit for bit —
-    per-operation seeding, ball-subgraph path enumeration, no escalation —
-    and exists for that shim.
+    recompute escalation; ``repair="legacy"`` is the per-event baseline
+    the batched repair is measured against (experiment t15,
+    :func:`~repro.stream.replay.replay_events_legacy`): per-operation
+    seeding, ball-subgraph path enumeration, no escalation.  Drive it with
+    one :meth:`commit` per update to reproduce per-event repair.
     """
 
     def __init__(self, graph: Optional[Graph] = None, *,
@@ -558,9 +559,8 @@ class MatchingService:
         return extend(start, 0)
 
     def _repair_legacy(self, seeds: Set[int]) -> Tuple[int, int]:
-        """The historical ``DynamicMatcher._repair``, bit for bit: ball ->
-        subgraph -> full path enumeration -> first path containing the
-        seed.  Kept so the deprecation shim reproduces old outputs."""
+        """The per-event baseline repair: ball -> subgraph -> full path
+        enumeration -> first path containing the seed."""
         graph, matching = self.graph, self.matching
         queue: Deque[int] = deque(sorted(
             s for s in seeds if graph.has_node(s)))

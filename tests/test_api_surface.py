@@ -1,6 +1,6 @@
-"""Tests for the unified API surface: shared keywords, shims, run() facade."""
+"""Tests for the unified API surface: shared keywords, run() facade."""
 
-import warnings
+import pathlib
 
 import pytest
 
@@ -28,14 +28,14 @@ class TestSharedKeywords:
 
     def test_tracer_keyword(self, bip):
         tracer = Tracer()
-        res = approx_mcm(bip, eps=0.4, seed=0, tracer=tracer)
+        res = approx_mcm(bip, eps=0.4, seed=0, observe=[tracer])
         assert res.certificate.valid
         assert tracer.events
 
     def test_tracer_everywhere(self, weighted):
         for call in (
-            lambda t: approx_mwm(weighted, eps=0.2, seed=0, tracer=t),
-            lambda t: maximal_matching(weighted, seed=0, tracer=t),
+            lambda t: approx_mwm(weighted, eps=0.2, seed=0, observe=[t]),
+            lambda t: maximal_matching(weighted, seed=0, observe=[t]),
         ):
             tracer = Tracer()
             assert call(tracer).certificate.valid
@@ -64,35 +64,20 @@ class TestSharedKeywords:
         assert res.network_metrics.total_rounds == res.rounds
 
 
-class TestDeprecatedPositional:
-    def test_approx_mcm_positional_warns(self, bip):
-        with pytest.warns(DeprecationWarning):
-            old = approx_mcm(bip, 0.4, 3)
-        new = approx_mcm(bip, eps=0.4, seed=3)
-        assert set(old.matching.edges()) == set(new.matching.edges())
+class TestNoCompatibilityLayer:
+    def test_positional_arguments_rejected(self, bip):
+        for call in (lambda: approx_mcm(bip, 0.4, 3),
+                     lambda: approx_mwm(bip, 0.2, 1),
+                     lambda: maximal_matching(bip, 5, CONGEST)):
+            with pytest.raises(TypeError, match="positional"):
+                call()
 
-    def test_approx_mwm_positional_warns(self, weighted):
-        with pytest.warns(DeprecationWarning):
-            old = approx_mwm(weighted, 0.2, 1)
-        new = approx_mwm(weighted, eps=0.2, seed=1)
-        assert set(old.matching.edges()) == set(new.matching.edges())
-
-    def test_maximal_matching_positional_warns(self, bip):
-        with pytest.warns(DeprecationWarning):
-            old = maximal_matching(bip, 5)
-        new = maximal_matching(bip, seed=5)
-        assert set(old.matching.edges()) == set(new.matching.edges())
-
-    def test_too_many_positionals_rejected(self, bip):
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                maximal_matching(bip, 5, CONGEST, "extra")
-
-    def test_keyword_calls_stay_silent(self, bip):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            approx_mcm(bip, eps=0.4, seed=0)
+    def test_no_module_raises_a_deprecation_warning(self):
+        # the compatibility layer is gone: nothing in the package warns
+        pkg = pathlib.Path(repro.__file__).parent
+        offenders = [str(path.relative_to(pkg)) for path in pkg.rglob("*.py")
+                     if "DeprecationWarning" in path.read_text()]
+        assert offenders == []
 
 
 class TestRunFacade:

@@ -16,11 +16,11 @@ from repro.congest import (
     LOCAL,
     PIPELINE,
     ExecutionPlan,
+    FaultSpec,
     Network,
     NodeAlgorithm,
     Tracer,
 )
-from repro.congest.faults import LossyNetwork
 from repro.dist.bipartite_mcm import bipartite_mcm
 from repro.dist.general_mcm import general_mcm
 from repro.dist.israeli_itai import israeli_itai
@@ -123,7 +123,7 @@ class TestArrivalOrder:
         g = gnp(10, 0.35, rng=3)
         plain = Network(g, policy=LOCAL).run(EchoNode)
         tracer = Tracer()
-        traced_net = Network(g, policy=LOCAL, tracer=tracer)
+        traced_net = Network(g, policy=LOCAL, observe=[tracer])
         traced = traced_net.run(EchoNode)
         assert traced.outputs == plain.outputs
         assert traced.rounds == plain.rounds
@@ -188,7 +188,8 @@ class TestRunResultAndHooks:
 
     def test_lossy_network_runs_on_csr(self):
         g = gnp(12, 0.4, rng=6)
-        lossy = LossyNetwork(g, loss=0.3, policy=LOCAL, seed=0)
+        lossy = Network(g, policy=LOCAL, seed=0,
+                        faults=FaultSpec(loss=0.3))
         assert lossy.execution_plan == ExecutionPlan()
         res = lossy.run(EchoNode)
         assert res.all_finished

@@ -2,9 +2,7 @@
 
 The load-bearing guarantees: observers never change what a run computes
 (same engine, same outputs, same metrics), both delivery engines emit the
-same event sequence, traces round-trip through disk exactly, and the
-legacy ``tracer=``/``LossyNetwork`` surfaces are faithful shims over the
-bus and ``faults=``.
+same event sequence, and traces round-trip through disk exactly.
 """
 
 import dataclasses
@@ -38,7 +36,6 @@ from repro.congest import (
     observing,
     render_timeline,
 )
-from repro.congest.faults import LossyNetwork
 from repro.core.api import run
 from repro.dist.checkers import check_matching
 from repro.dist.israeli_itai import israeli_itai
@@ -220,36 +217,14 @@ class TestGoldenEventStream:
                                                       FaultSpec(loss=0.0)))
 
 
-class TestTracerShim:
-    def _traced(self, make_network):
-        g = gnp(10, 0.35, rng=6)
-        tracer = Tracer()
-        net = make_network(g, tracer)
-        result = israeli_itai(net)
-        return set(result.edges()), [dataclasses.astuple(e)
-                                     for e in tracer.events]
-
-    def test_tracer_kwarg_warns_and_matches_observe(self):
-        with pytest.warns(DeprecationWarning):
-            edges_shim, events_shim = self._traced(
-                lambda g, t: Network(g, seed=2, tracer=t))
-        edges_bus, events_bus = self._traced(
-            lambda g, t: Network(g, seed=2, observe=[t]))
-        assert edges_shim == edges_bus
-        assert events_shim == events_bus
-        assert events_bus
-
-    def test_lossy_network_is_a_faults_shim(self):
+class TestFaultSpec:
+    def test_fault_drops_are_deterministic(self):
         g = gnp(14, 0.3, rng=8)
-        with pytest.warns(DeprecationWarning):
-            lossy = LossyNetwork(g, loss=0.25, policy=LOCAL, seed=1)
-        assert lossy.loss == 0.25
-        plain = Network(g, policy=LOCAL, seed=1,
-                        faults=FaultSpec(loss=0.25))
-        out_lossy = lossy.run(Flood).outputs
-        out_plain = plain.run(Flood).outputs
-        assert out_lossy == out_plain
-        assert lossy.dropped == plain.dropped > 0
+        runs = [Network(g, policy=LOCAL, seed=1,
+                        faults=FaultSpec(loss=0.25)) for _ in range(2)]
+        out_a, out_b = (net.run(Flood).outputs for net in runs)
+        assert out_a == out_b
+        assert runs[0].dropped == runs[1].dropped > 0
 
     def test_fault_spec_validates_loss(self):
         with pytest.raises(ValueError):

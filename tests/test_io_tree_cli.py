@@ -168,3 +168,33 @@ class TestCLI:
         assert main(["match", str(path), "--weighted", "--eps", "0.2"]) == 0
         out = capsys.readouterr().out
         assert "algorithm5" in out
+
+    # trace/profile offer only the names they can run: the sequential
+    # references take no observability keywords, the stream entries report
+    # no rounds, and an unknown name is a usage error too
+    @pytest.mark.parametrize("name", ["exact_mcm", "stream", "nope"])
+    def test_trace_rejects_names_it_cannot_run(self, name, tmp_path, capsys):
+        from repro.__main__ import main
+
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "gnp:20:0.2", "--algorithm", name,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and f"invalid choice: '{name}'" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["trace", "profile"])
+    def test_mpc_memory_guard_is_one_line(self, command, tmp_path, capsys):
+        from repro.__main__ import main
+
+        # the default alpha 0.5 gives S=5 words on 20 nodes: below the floor
+        argv = [command, "gnp:20:0.2", "--algorithm", "mpc"]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "t.jsonl")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("memory guard tripped")
+        assert captured.out == ""

@@ -2,7 +2,7 @@
 
 A registered :class:`~repro.congest.kernels.RoundKernel` must be
 *bit-identical* to per-node dispatch: same outputs, same round counts, same
-:class:`~repro.congest.metrics.Metrics`, same per-node random streams, same
+:class:`~repro.runtime.metrics.Metrics`, same per-node random streams, same
 structural event stream.  The matrix below runs every kernelized protocol
 under both paths (``execution="auto"`` selects the kernel,
 ``execution="node"`` forces per-node dispatch on the same batched delivery

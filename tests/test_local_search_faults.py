@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.congest import LossyNetwork, Network
+from repro.congest import FaultSpec, Network
 from repro.dist import israeli_itai
 from repro.dist.checkers import check_matching, check_maximality
 from repro.graphs import gnp, path_graph, uniform_weights
@@ -65,19 +65,20 @@ class TestLocalSearchMWM:
 class TestLossyNetwork:
     def test_loss_validation(self):
         with pytest.raises(ValueError):
-            LossyNetwork(path_graph(2), loss=1.0)
+            Network(path_graph(2), faults=FaultSpec(loss=1.0))
 
     def test_zero_loss_is_identical(self):
         g = gnp(20, 0.2, rng=1)
         m_ref = israeli_itai(Network(g, seed=5))
-        m_lossy = israeli_itai(LossyNetwork(g, loss=0.0, seed=5))
+        m_lossy = israeli_itai(Network(g, seed=5,
+                                       faults=FaultSpec(loss=0.0)))
         assert m_ref == m_lossy
 
     def test_drops_are_counted(self):
         from repro.congest import ProtocolError
 
         g = gnp(20, 0.2, rng=2)
-        net = LossyNetwork(g, loss=0.3, seed=2)
+        net = Network(g, seed=2, faults=FaultSpec(loss=0.3))
         try:
             israeli_itai(net, max_rounds=200)
         except ProtocolError:
@@ -95,7 +96,7 @@ class TestLossyNetwork:
         damage_found = False
         for seed in range(12):
             g = gnp(24, 0.2, rng=seed)
-            net = LossyNetwork(g, loss=0.35, seed=seed)
+            net = Network(g, seed=seed, faults=FaultSpec(loss=0.35))
             shared = {"initial_mate": {v: None for v in g.nodes}}
             try:
                 raw = net.run(IsraeliItaiNode, shared=shared, max_rounds=300)

@@ -1,14 +1,11 @@
-"""Tests for the composable protocol runtime (repro.congest.runtime).
+"""Tests for the composable protocol runtime (repro.runtime.driver).
 
 Covers the Subnetwork lifecycle (seed spawning, the three fold modes,
-event nesting, fault inheritance), the PhaseDriver scaffold, the shared
-ProtocolResult surface, and the deprecation shims: ``subnetworks=
-"detached"`` driver paths and legacy two-argument black-box callables are
-golden-pinned to the exact pre-runtime behavior.
+event nesting, fault inheritance), the PhaseDriver scaffold and the shared
+ProtocolResult surface.
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -27,12 +24,10 @@ from repro.congest import (
     RoundStart,
     Subnetwork,
     as_network,
-    nested_network,
     register_map,
 )
 from repro.dist import generic_mcm, spawn_rng, spawn_seed
 from repro.dist.luby_mis import luby_mis
-from repro.dist.weighted import approximate_mwm, class_greedy_mwm
 from repro.dist.weighted.hv_local import hv_mwm
 from repro.graphs import gnp, path_graph, uniform_weights
 from repro.matching import verify_matching
@@ -421,64 +416,3 @@ class TestDriverComposition:
         result = generic_mcm(g, k=2, network=net)
         assert net.dropped > 0
         verify_matching(g, result.matching)
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims, golden-pinned (PR 2 pattern)
-# ---------------------------------------------------------------------------
-
-class TestDeprecationShims:
-    """The detached paths must reproduce the pre-runtime goldens exactly."""
-
-    def test_generic_mcm_detached_golden(self, monkeypatch):
-        # this golden was pinned against the pre-1.4 additive node_rng
-        # streams; the compat shim restores them (networks constructed
-        # after the env flip pick it up)
-        monkeypatch.setenv("REPRO_ADDITIVE_NODE_RNG", "1")
-        g = gnp(18, 0.18, rng=random.Random(0))
-        with pytest.warns(DeprecationWarning, match="detached"):
-            result = generic_mcm(g, k=2, seed=0, subnetworks="detached")
-        assert sorted(result.matching.edges()) == [
-            (2, 5), (7, 14), (8, 13), (9, 17), (10, 11), (12, 16)]
-        assert metric_tuple(result.metrics) == (22, 458, 46285, 346)
-        assert result.metrics.protocol_rounds == {
-            "augmentation": 4, "local_views": 8, "mis_emulation": 10}
-        # detached children fold nothing into the subnetwork account
-        assert result.metrics.sub_rounds == 0
-        assert result.rounds_total == 22
-
-    def test_hv_mwm_detached_golden(self):
-        g = gnp(14, 0.3, rng=random.Random(1),
-                weight_fn=uniform_weights())
-        with pytest.warns(DeprecationWarning, match="detached"):
-            result = hv_mwm(g, eps=0.25, seed=1, subnetworks="detached")
-        assert sorted(result.matching.edges()) == [
-            (0, 3), (1, 12), (2, 6), (4, 5), (7, 10), (8, 13), (9, 11)]
-        assert metric_tuple(result.metrics) == (117, 516, 81366, 341)
-        weight = sum(g.weight(u, v) for u, v in result.matching.edges())
-        assert weight == pytest.approx(467.8218915799)
-
-    def test_legacy_black_box_callable_matches_composable(self):
-        g = gnp(16, 0.25, rng=random.Random(3),
-                weight_fn=uniform_weights())
-
-        def legacy_box(graph, seed):  # historical 2-arg contract
-            return class_greedy_mwm(graph, seed=seed)
-
-        with pytest.warns(DeprecationWarning, match="detached"):
-            old = approximate_mwm(g, eps=0.2, seed=3, black_box=legacy_box)
-        new = approximate_mwm(g, eps=0.2, seed=3, black_box="class_greedy")
-        # the subnetwork child gets the same historical seed and policy, so
-        # the two paths are bit-identical
-        assert sorted(old.matching.edges()) == sorted(new.matching.edges())
-        assert metric_tuple(old.metrics) == metric_tuple(new.metrics)
-        assert old.metrics.subnetwork_rounds == new.metrics.subnetwork_rounds
-
-    def test_nested_network_shim_is_detached(self):
-        parent = Network(path_graph(5), policy=LOCAL, seed=11)
-        with pytest.warns(DeprecationWarning, match="nested_network"):
-            child = nested_network(parent, path_graph(3))
-        assert child.seed == 11 and child.policy is LOCAL
-        assert child.faults is None
-        luby_mis(child)
-        assert parent.metrics.total_rounds == 0  # nothing folds back

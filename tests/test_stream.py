@@ -1,13 +1,13 @@
 """Tests for the streaming matching service (repro.stream)."""
 
 import json
-import warnings
+import random
 
 import pytest
 
 import repro
 from repro import run
-from repro.congest.events import (
+from repro.observe.events import (
     ALL_KINDS,
     STRUCTURAL_KINDS,
     BatchEnd,
@@ -19,7 +19,6 @@ from repro.congest.events import (
     render_timeline,
 )
 from repro.core.api import ALGORITHMS, stream_matching
-from repro.dynamic import DynamicMatcher
 from repro.graphs import Graph, gnp, path_graph
 from repro.graphs.graph import GraphError
 from repro.matching.sequential.blossom import max_cardinality
@@ -37,12 +36,6 @@ from repro.stream import (
     save_updates,
 )
 from repro.switchsim import SwitchUpdateStream
-
-
-def legacy_matcher(**kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return DynamicMatcher(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +306,12 @@ class TestBatchedVsFromScratch:
 
 
 # ---------------------------------------------------------------------------
-# the DynamicMatcher shim: golden-pinned, bit-identical
+# per-event legacy repair: golden-pinned, bit-identical
 # ---------------------------------------------------------------------------
 
-# Captured from the pre-1.7 DynamicMatcher (commit 6e4dccb) with the driver
-# in _drive_legacy below.  The shim must reproduce these bit for bit.
+# Captured from the pre-1.7 per-event DynamicMatcher (commit 6e4dccb) with
+# the driver in _drive_legacy below.  A repair="legacy" service committing
+# after every update must reproduce these bit for bit.
 SHIM_GOLDENS = {
     0: {
         "edges": [(0, 5), (3, 12), (4, 11), (7, 9), (8, 19)],
@@ -402,83 +396,60 @@ SHIM_GOLDENS = {
 
 
 def _drive_legacy(seed, n=14, steps=40, k=2):
-    import random as _random
+    rng = random.Random(seed)
+    svc = MatchingService(gnp(n, 0.2, rng=seed), k=k, repair="legacy")
 
-    rng = _random.Random(seed)
-    dm = legacy_matcher(k=k, graph=gnp(n, 0.2, rng=seed))
+    def update(operation, *args, **kwargs):  # one commit per update
+        getattr(svc, operation)(*args, **kwargs)
+        svc.commit(operation=operation)
+
     for step in range(steps):
         roll = rng.random()
         if roll < 0.45:
             u, v = rng.sample(range(n), 2)
-            if dm.graph.has_edge(u, v):
-                dm.delete_edge(u, v)
+            if svc.graph.has_edge(u, v):
+                update("delete_edge", u, v)
             else:
-                dm.insert_edge(u, v, weight=1.0 + rng.randrange(4))
-        elif roll < 0.55 and dm.graph.num_nodes > 4:
-            dm.delete_node(rng.choice(sorted(dm.graph.nodes)))
+                update("insert_edge", u, v, weight=1.0 + rng.randrange(4))
+        elif roll < 0.55 and svc.graph.num_nodes > 4:
+            update("delete_node", rng.choice(sorted(svc.graph.nodes)))
         elif roll < 0.65:
-            dm.insert_node(n + step)
+            update("insert_node", n + step)
         else:
-            u, v = rng.sample(sorted(dm.graph.nodes), 2)
-            if not dm.graph.has_edge(u, v):
-                dm.insert_edge(u, v)
+            u, v = rng.sample(sorted(svc.graph.nodes), 2)
+            if not svc.graph.has_edge(u, v):
+                update("insert_edge", u, v)
             else:
-                dm.delete_edge(u, v)
-    return dm
+                update("delete_edge", u, v)
+    return svc
 
 
 class TestShimGoldens:
     @pytest.mark.parametrize("seed", sorted(SHIM_GOLDENS))
     def test_bit_identical_to_pre_shim_behavior(self, seed):
         golden = SHIM_GOLDENS[seed]
-        dm = _drive_legacy(seed)
+        svc = _drive_legacy(seed)
         hist = [(h.operation, h.augmentations, h.nodes_explored)
-                for h in dm.history]
-        assert sorted(dm.matching.edges()) == golden["edges"]
-        assert dm.matching.size == golden["size"]
-        assert dm.graph.num_nodes == golden["graph_nodes"]
-        assert dm.graph.num_edges == golden["graph_edges"]
+                for h in svc.history]
+        assert sorted(svc.matching.edges()) == golden["edges"]
+        assert svc.matching.size == golden["size"]
+        assert svc.graph.num_nodes == golden["graph_nodes"]
+        assert svc.graph.num_edges == golden["graph_edges"]
         assert hist == golden["history"]
 
-    def test_shim_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning):
-            DynamicMatcher(k=1)
-
-    def test_shim_matches_legacy_mode_service(self):
-        g = gnp(12, 0.25, rng=9)
-        dm = legacy_matcher(k=2, graph=g)
-        svc = MatchingService(g, k=2, repair="legacy")
-        updates = random_churn(g, 30, seed=11)
-        for up in updates:
-            if up.op == "insert":
-                dm.insert_edge(up.u, up.v, up.weight)
-            else:
-                dm.delete_edge(up.u, up.v)
-            svc.apply([up])
-            svc.commit()
-            assert svc.matching == dm.matching
-        assert svc.graph.edge_set() == dm.graph.edge_set()
-
-    def test_fast_mode_is_invariant_equivalent_to_shim(self):
+    def test_fast_mode_is_invariant_equivalent_to_legacy(self):
         g = gnp(12, 0.25, rng=4)
         updates = random_churn(g, 30, seed=5)
-        dm = legacy_matcher(k=2, graph=g)
+        legacy = MatchingService(g, k=2, repair="legacy")
+        for up in updates:  # per-event: one commit per update
+            legacy.apply([up]).commit()
         svc = MatchingService(g, k=2)
-        for up in updates:
-            if up.op == "insert":
-                dm.insert_edge(up.u, up.v, up.weight)
-            else:
-                dm.delete_edge(up.u, up.v)
         svc.apply(updates)
         svc.commit()
-        assert svc.verify_invariant() and dm.verify_invariant()
+        assert svc.verify_invariant() and legacy.verify_invariant()
         optimum = max_cardinality(svc.graph).size
         assert svc.matching.size >= svc.guarantee * optimum - 1e-9
-        assert dm.matching.size >= dm.guarantee * optimum - 1e-9
-
-    def test_shim_threads_seed(self):
-        dm = legacy_matcher(k=2, graph=path_graph(4), seed=7)
-        assert dm._service.seed == 7
+        assert legacy.matching.size >= legacy.guarantee * optimum - 1e-9
 
 
 # ---------------------------------------------------------------------------

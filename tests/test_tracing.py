@@ -9,7 +9,7 @@ class TestTracer:
     def test_records_events(self):
         g = path_graph(4)
         tracer = Tracer()
-        net = Network(g, seed=0, tracer=tracer)
+        net = Network(g, seed=0, observe=[tracer])
         israeli_itai(net)
         assert len(tracer) > 0
         e = tracer.events[0]
@@ -20,7 +20,7 @@ class TestTracer:
     def test_filtering(self):
         g = gnp(12, 0.3, rng=1)
         tracer = Tracer()
-        net = Network(g, seed=1, tracer=tracer)
+        net = Network(g, seed=1, observe=[tracer])
         israeli_itai(net)
         luby_mis(net)
         assert set(tracer.protocols()) == {"israeli_itai", "luby_mis"}
@@ -35,7 +35,7 @@ class TestTracer:
     def test_messages_between(self):
         g = path_graph(2)
         tracer = Tracer()
-        net = Network(g, seed=0, tracer=tracer)
+        net = Network(g, seed=0, observe=[tracer])
         israeli_itai(net)
         convo = tracer.messages_between(0, 1)
         assert convo
@@ -44,14 +44,14 @@ class TestTracer:
     def test_render(self):
         g = path_graph(2)
         tracer = Tracer()
-        net = Network(g, seed=0, tracer=tracer)
+        net = Network(g, seed=0, observe=[tracer])
         israeli_itai(net)
         text = tracer.render()
         assert "israeli_itai" in text
         assert "->" in text
 
     def test_render_truncates_payloads(self):
-        from repro.congest.tracing import TraceEvent
+        from repro.observe.tracing import TraceEvent
 
         event = TraceEvent(protocol="p", round=1, sender=0, receiver=1,
                            bits=8, payload="x" * 200)
@@ -60,14 +60,14 @@ class TestTracer:
     def test_capacity_bound(self):
         g = gnp(15, 0.3, rng=2)
         tracer = Tracer(capacity=10)
-        net = Network(g, seed=2, tracer=tracer)
+        net = Network(g, seed=2, observe=[tracer])
         israeli_itai(net)
         assert len(tracer) == 10
 
     def test_predicate_filter(self):
         g = gnp(10, 0.4, rng=3)
         tracer = Tracer()
-        net = Network(g, seed=3, tracer=tracer)
+        net = Network(g, seed=3, observe=[tracer])
         israeli_itai(net)
         proposals = tracer.filter(predicate=lambda e: e.payload == "p")
         assert all(e.payload == "p" for e in proposals)

@@ -1,11 +1,12 @@
 """Tests for Section 4: gain machinery, black boxes, Algorithm 5, HV."""
 
 import math
+import warnings
 
 import networkx as nx
 import pytest
 
-from repro.congest import CONGEST, Network
+from repro.congest import CONGEST, Network, PhaseStart
 from repro.dist.weighted import (
     BLACK_BOX_DELTA,
     apply_wraps,
@@ -241,10 +242,29 @@ class TestAlgorithm5:
             calls.append(seed)
             return local_greedy_mwm(g, seed=seed, network=network)
 
+        def kw_box(g, seed, **kw):  # network= arrives through **kw
+            return box(g, seed, **kw)
+
         g = gnp(14, 0.3, rng=4, weight_fn=uniform_weights())
-        res = approximate_mwm(g, eps=0.3, seed=4, black_box=box)
+        runs = []
+        for black_box in (box, kw_box):
+            events = []
+            net = Network(g, seed=4, observe=[events.append])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = approximate_mwm(g, eps=0.3, seed=4, black_box=black_box,
+                                      network=net)
+            verify_matching(g, res.matching)
+            runs.append((sorted(res.matching.edges()), events))
         assert calls
-        verify_matching(g, res.matching)
+        (named_edges, named_events), (kw_edges, kw_events) = runs
+        assert kw_edges == named_edges
+        assert kw_events == named_events
+        # both forms run on the parent's subnetwork, so their black_box
+        # phases reach the parent's bus
+        assert any(isinstance(e, PhaseStart) and e.phase.startswith("black_box")
+                   for e in kw_events)
+
     def test_unknown_black_box(self):
         with pytest.raises(ValueError):
             approximate_mwm(path_graph(2), black_box="nope")

@@ -10,7 +10,7 @@ Run from the repo root::
 
 ``--observed`` measures the observability overhead on the CSR flood
 workload: an idle bus (no subscribers), a structural
-:class:`~repro.congest.events.JsonlTraceWriter` (the default trace mode),
+:class:`~repro.observe.events.JsonlTraceWriter` (the default trace mode),
 and a full per-message writer, each reported as a ratio over the
 unobserved run (acceptance: structural tracing within 1.5x; no
 subscribers within measurement noise).

@@ -19,8 +19,9 @@ approximation-ratio spot checks (each also verifies the paper's invariant
 exhaustively — the speed numbers only count if the matching stays a
 certified (1 - 1/(k+1))-approximation).
 
-The baseline is the pre-1.7 cost model: the per-event
-:class:`repro.dynamic.maintainer.DynamicMatcher`, replayed over a prefix
+The baseline is the pre-1.7 cost model: per-event repair, i.e. a
+``MatchingService(repair="legacy")`` that commits after every update
+(:func:`repro.stream.replay.replay_events_legacy`), replayed over a prefix
 of the *same* recorded event stream (``--baseline-events``, default
 50,000 — per-event repair is orders of magnitude slower, so the baseline
 extrapolates from a prefix; graph evolution depends only on the events,
@@ -74,13 +75,9 @@ def run_bench(events: int, baseline_events: int, ports: int, load: float,
           f"p99 commit {1e3 * batched.latency_p99:.3f} ms",
           file=sys.stderr)
     baseline_events = min(baseline_events, len(record))
-    print(f"[2/2] per-event DynamicMatcher baseline: first "
+    print(f"[2/2] per-event legacy-repair baseline: first "
           f"{baseline_events:,} of the same events", file=sys.stderr)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        baseline = replay_events_legacy(record, k=k, limit=baseline_events)
+    baseline = replay_events_legacy(record, k=k, limit=baseline_events)
     print(f"      {baseline.updates_per_sec:,.0f} updates/sec",
           file=sys.stderr)
 

@@ -35,18 +35,11 @@ MODULES = [
     "repro.mpc.matching",
     "repro.mpc.kernel",
     "repro.congest.network",
-    "repro.congest.execution",
     "repro.congest.node",
     "repro.congest.policies",
     "repro.congest.message",
-    "repro.congest.metrics",
     "repro.congest.utilities",
     "repro.congest.asynchrony",
-    "repro.congest.faults",
-    "repro.congest.tracing",
-    "repro.congest.events",
-    "repro.congest.profiling",
-    "repro.congest.runtime",
     "repro.congest.kernels",
     "repro.congest.sharding",
     "repro.matching.core",
@@ -90,7 +83,6 @@ MODULES = [
     "repro.cellular.scenario",
     "repro.cellular.assignment",
     "repro.lca.oracle",
-    "repro.dynamic.maintainer",
     "repro.experiments.suite",
     "repro.experiments.parallel",
     "repro.experiments.tables",
