@@ -1,6 +1,6 @@
 """Replay harnesses: drive a service over recorded or generated streams.
 
-Shared by ``python -m repro stream`` and ``tools/bench_stream.py``:
+Shared by ``python -m repro stream`` and ``tools/bench_ratios.py``:
 
 * :func:`replay_events` — feed a recorded update stream (e.g. from
   :func:`~repro.stream.workload.load_updates`) into a
@@ -244,8 +244,7 @@ def replay_events_legacy(updates: Iterable[UpdateLike],
     event, so each one triggers an immediate repair (the pre-batching
     cost model).  Weight updates map to ``insert_edge`` — the closest
     per-event analogue, which also repairs around the touched edge.
-    ``limit`` truncates the stream (the baseline is orders of magnitude
-    slower; benchmarks extrapolate from a prefix).
+    ``limit`` stops the replay after that many events.
     """
     service = MatchingService(graph, k=k, repair="legacy")
     events = 0
