@@ -6,7 +6,9 @@ Run with::
 
 Builds a random bipartite graph and a general weighted graph, runs the
 paper's algorithms next to the Israeli-Itai baseline and the exact optimum,
-and prints what each achieved and what it cost in CONGEST rounds.
+and prints what each achieved and what it cost in CONGEST rounds.  Every
+entry point certifies a ratio floor without the optimum; this tour also
+measures each ratio against the exact optimum it computes.
 """
 
 from repro import approx_mcm, approx_mwm, exact_mcm, maximal_matching
@@ -23,14 +25,15 @@ def cardinality_demo() -> None:
 
     baseline = maximal_matching(graph, seed=1)
     print(f"Israeli-Itai baseline:              size={baseline.size} "
-          f"ratio={baseline.certificate.cardinality_ratio:.3f} "
+          f"ratio={baseline.size / optimum.size:.3f} "
           f"rounds={baseline.rounds}")
 
     for eps in (0.5, 0.25, 0.1):
         result = approx_mcm(graph, eps=eps, seed=1)
         print(f"paper (1-{eps})-MCM  [{result.algorithm}]: "
               f"size={result.size} "
-              f"ratio={result.certificate.cardinality_ratio:.3f} "
+              f"ratio={result.size / optimum.size:.3f} "
+              f"(certified >= {result.certificate.ratio_floor:.3f}) "
               f"rounds={result.rounds}")
     print()
 
@@ -51,6 +54,7 @@ def weighted_demo() -> None:
         print(f"paper (1/2-{eps})-MWM [{result.algorithm}]: "
               f"weight={result.weight:.1f} "
               f"ratio={result.certificate.weight_ratio:.3f} "
+              f"(certified >= {result.certificate.ratio_floor:.3f}) "
               f"rounds={result.rounds}")
 
     local = approx_mwm(graph, eps=0.25, seed=7, model="local",
@@ -65,7 +69,8 @@ def main() -> None:
     cardinality_demo()
     weighted_demo()
     print("Every result above is verified: matchings are checked edge-by-"
-          "edge\nand ratios are certified against the exact optimum.")
+          "edge,\nratio floors are certified without the optimum, and each "
+          "ratio\nis measured against the exact optimum.")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,8 @@ Quick start::
 
     graph = random_bipartite(100, 100, 0.05, rng=0)
     result = approx_mcm(graph, eps=0.25, seed=0)
-    print(result.size, result.certificate.cardinality_ratio, result.rounds)
+    # the certificate's ratio floor is proved without the optimum
+    print(result.size, result.certificate.ratio_floor, result.rounds)
 
     # or via the single facade, by registry name:
     result = run("mcm", graph, eps=0.25, seed=0)
@@ -64,7 +65,10 @@ Every distributed entry point shares the keyword surface ``(graph, *,
 eps/k, seed, policy, max_rounds, observe, trace, profile, execution)``
 and returns a :class:`MatchingResult`; the sequential references
 ``exact_mcm``/``exact_mwm`` take only the graph.  ``execution=`` takes a
-tier name or an :class:`~repro.models.execution.ExecutionPlan`.
+tier name or an :class:`~repro.models.execution.ExecutionPlan`.  Each
+result's certificate carries a ratio floor proved without the optimum
+(``certificate.ratio_floor``: Lemma 3.3, or an LP dual for weighted
+runs); no entry point computes the optimum itself.
 """
 
 from .core import (
@@ -93,7 +97,7 @@ from .graphs import BipartiteGraph, Graph
 from .matching import Matching
 from .stream import EdgeUpdate, MatchingService, StreamResult
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -157,6 +157,11 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_floor(cert) -> None:
+    print(f"ratio     : >= {cert.ratio_floor:.4f} "
+          f"(certified: {cert.floor_basis})")
+
+
 def _cmd_match(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.path)
     print(f"loaded {graph.num_nodes} nodes, {graph.num_edges} edges "
@@ -169,10 +174,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     print(f"algorithm : {result.algorithm}")
     print(f"size      : {result.size}")
     print(f"weight    : {cert.weight:.6g}")
-    if cert.cardinality_ratio is not None and not args.weighted:
-        print(f"ratio     : {cert.cardinality_ratio:.4f} (vs exact optimum)")
-    if cert.weight_ratio is not None and args.weighted:
-        print(f"ratio     : {cert.weight_ratio:.4f} (vs exact optimum)")
+    _print_floor(cert)
     if result.metrics is not None:
         print(f"rounds    : {result.metrics.total_rounds}")
         print(f"messages  : {result.metrics.messages} "
@@ -236,8 +238,7 @@ def _cmd_mpc(args: argparse.Namespace) -> int:
     print(f"algorithm : {result.algorithm}")
     print(f"size      : {result.size} (valid={cert.valid}, "
           f"maximal={cert.maximal})")
-    if cert.cardinality_ratio is not None:
-        print(f"ratio     : {cert.cardinality_ratio:.4f} (vs exact optimum)")
+    _print_floor(cert)
     print(f"supersteps: {metrics.rounds}")
     print(f"machines  : {metrics.memory_machines} x "
           f"{metrics.memory_limit_words} words "
@@ -343,6 +344,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     print(report.table())
     result = service.result()
     service.close()
+    _print_floor(result.certificate)
     if args.profile:
         print()
         print(result.profile.table())

@@ -39,8 +39,14 @@ from earlier releases) and ``MatchingResult.rounds_total`` additionally
 counts the virtual sub-protocol rounds
 (``network_metrics.sub_rounds``/``subnetwork_rounds``).
 
-Every distributed result is verified (:class:`Certificate`).  Everything
-after the graph is keyword-only.
+Every distributed result is verified (:class:`Certificate`): validity,
+maximality, and a ratio floor certified without the optimum
+(``certificate.ratio_floor``: Lemma 3.3, or an LP dual for weighted
+runs).  No entry point computes the exact optimum: a measured
+``cardinality_ratio``/``weight_ratio`` is a test-mode number, not a cost
+every call pays (:func:`exact_mcm`/:func:`exact_mwm` and
+``approx_mwm(reference=...)`` supply it on request).  Everything after the
+graph is keyword-only.
 """
 
 from __future__ import annotations
@@ -65,10 +71,11 @@ from ..dist.weighted.hv_local import hv_mwm
 from .results import MatchingResult
 
 
-def _is_bipartite(graph: Graph) -> bool:
+def _bipartition(graph: Graph):
+    """``(left, right)`` of a bipartite graph, else ``None``."""
     if isinstance(graph, BipartiteGraph):
-        return True
-    return graph.bipartition() is not None
+        return graph.left, graph.right
+    return graph.bipartition()
 
 
 def eps_to_k(eps: float) -> int:
@@ -92,14 +99,21 @@ def approx_mcm(graph: Graph, *, eps: float = 0.25,
     ``model="congest"`` uses Theorem 3.10 on bipartite inputs and
     Theorem 3.15 (Algorithm 4 with certified stopping) otherwise;
     ``model="local"`` forces the generic Algorithm 1.  ``k`` overrides the
-    phase count directly (``eps`` is ignored then).  The certificate
-    includes the exact optimum (computed sequentially for verification).
+    phase count directly (``eps`` is ignored then).
+
+    The certificate proves Lemma 3.3 without the optimum:
+    ``certificate.ratio_floor`` is k/(k+1) when no augmenting path with
+    <= 2k-1 edges exists.  On bipartite inputs (either model) one layered
+    alternating BFS checks it in O(n + m); on general ones Algorithm 4's
+    exact stopping rule has already checked it, and the LOCAL model
+    enumerates paths up to 2k-1 edges, as Algorithm 1 itself does.
     """
     if k is None:
         k = eps_to_k(eps)
     elif k < 1:
         raise ValueError("k must be at least 1")
     obs = ObservabilityScope(observe, trace, profile)
+    split, proven = _bipartition(graph), False
     if model == "local":
         net = Network(graph, policy=policy or LOCAL, seed=seed,
                       max_rounds=max_rounds, observe=obs.observe,
@@ -112,7 +126,7 @@ def approx_mcm(graph: Graph, *, eps: float = 0.25,
         net = Network(graph, policy=policy or PIPELINE, seed=seed,
                       max_rounds=max_rounds, observe=obs.observe,
                       execution=execution)
-        if _is_bipartite(graph):
+        if split is not None:
             bres = bipartite_mcm(graph, k=k, seed=seed, network=net)
             matching, metrics, detail, name = (
                 bres.matching, bres.metrics, bres, "bipartite_mcm"
@@ -123,11 +137,11 @@ def approx_mcm(graph: Graph, *, eps: float = 0.25,
             matching, metrics, detail, name = (
                 gres.matching, gres.metrics, gres, "general_mcm"
             )
+            proven = gres.certified
     else:
         raise ValueError(f"unknown model {model!r}; use 'congest' or 'local'")
 
-    optimum = max_cardinality(graph).size
-    cert = certify(graph, matching, optimum_size=optimum)
+    cert = certify(graph, matching, k=k, bipartition=split, proven=proven)
     return obs.finish(MatchingResult(
         matching=matching, algorithm=name,
         certificate=cert, metrics=metrics, detail=detail))
@@ -149,10 +163,17 @@ def approx_mwm(graph: Graph, *, eps: float = 0.1, seed: int = 0,
     ``model="auction"``: the Bertsekas auction, a (1 - eps)-MWM for
     *bipartite* graphs in the CONGEST model (event-driven; rounds grow as
     1/eps).
-    ``reference`` optionally supplies the optimum weight for the
-    certificate (e.g. from :func:`exact_mwm` or networkx); when omitted,
-    the bipartite optimum is computed exactly and general graphs get no
-    reference (computing exact general MWM is outside the library's scope).
+
+    The certificate proves a weight floor on every model and graph by weak
+    LP duality: from y_v = w(M(v)), one pass over the edges raises an
+    endpoint of each edge with y_u + y_v < w_uv, and
+    ``certificate.ratio_floor`` is w(M) / sum(y) <= w(M) / w(M*).  Since
+    sum(y) >= 2 w(M), this floor never exceeds 1/2 on a graph with an
+    edge: enough to certify Theorem 4.5's 1/2 - eps, never the (1 - eps)
+    of the other models.  A floor below a model's claim is reported, not
+    raised.  ``reference`` optionally supplies the optimum weight for
+    ``certificate.weight_ratio`` (e.g. from :func:`exact_mwm` or
+    networkx); the entry point computes no optimum itself.
     """
     obs = ObservabilityScope(observe, trace, profile)
     if model == "congest":
@@ -187,10 +208,7 @@ def approx_mwm(graph: Graph, *, eps: float = 0.1, seed: int = 0,
             f"unknown model {model!r}; use 'congest', 'local', or 'auction'"
         )
 
-    optimum_weight = reference
-    if optimum_weight is None and _is_bipartite(graph):
-        optimum_weight = max_weight_bipartite(graph).weight(graph)
-    cert = certify(graph, matching, optimum_weight=optimum_weight)
+    cert = certify(graph, matching, optimum_weight=reference, dual=True)
     return obs.finish(MatchingResult(
         matching=matching, algorithm=name,
         certificate=cert, metrics=metrics, detail=detail))
@@ -203,14 +221,17 @@ def maximal_matching(graph: Graph, *, seed: int = 0,
                      trace: Any = None,
                      profile: Any = None,
                      execution: Any = None) -> MatchingResult:
-    """The Israeli-Itai baseline: a maximal (hence 1/2-approximate) matching."""
+    """The Israeli-Itai baseline: a maximal (hence 1/2-approximate) matching.
+
+    The certificate works as for :func:`approx_mcm` at k = 1: the
+    certified floor is 1/2 exactly when the matching is maximal.
+    """
     obs = ObservabilityScope(observe, trace, profile)
     net = Network(graph, policy=policy or CONGEST, seed=seed,
                   max_rounds=max_rounds, observe=obs.observe,
                   execution=execution)
     matching = israeli_itai(net)
-    optimum = max_cardinality(graph).size
-    cert = certify(graph, matching, optimum_size=optimum)
+    cert = certify(graph, matching, k=1)
     return obs.finish(MatchingResult(
         matching=matching, algorithm="israeli_itai",
         certificate=cert, metrics=net.metrics))
@@ -232,7 +253,8 @@ def mpc_maximal_matching(graph: Graph, *, alpha: float = 0.5, seed: int = 0,
     raises :class:`~repro.mpc.cluster.MemoryExceeded`.  The result's
     ``rounds`` are MPC *supersteps* and ``network_metrics`` carries the
     memory account (``memory_peak_words`` <= ``memory_limit_words``).
-    The observability trio works exactly as for CONGEST entry points.
+    The observability trio and the certificate work exactly as for
+    :func:`maximal_matching`.
     """
     from ..mpc import MPCCluster, mpc_maximal as _mpc_driver
 
@@ -240,8 +262,7 @@ def mpc_maximal_matching(graph: Graph, *, alpha: float = 0.5, seed: int = 0,
     cluster = MPCCluster(graph, alpha=alpha, seed=seed,
                          observe=obs.observe, execution=execution)
     res = _mpc_driver(cluster, max_iterations=max_iterations)
-    optimum = max_cardinality(graph).size
-    cert = certify(graph, res.matching, optimum_size=optimum)
+    cert = certify(graph, res.matching, k=1)
     result = MatchingResult(
         matching=res.matching, algorithm=f"mpc_maximal(alpha={alpha:g})",
         certificate=cert, metrics=cluster.metrics, detail=res)
@@ -287,7 +308,6 @@ def stream_matching(graph: Optional[Graph] = None, *,
                     trace: Any = None,
                     profile: Any = None,
                     max_rounds: Optional[int] = None,
-                    certify_result: bool = True,
                     **service_kwargs: Any):
     """Dynamic maintenance: stream ``updates`` through a matching service.
 
@@ -300,8 +320,10 @@ def stream_matching(graph: Optional[Graph] = None, *,
     in batches of ``batch`` (``None`` = one batch), each batch repairing
     the invariant "no augmenting path <= 2k-1", so the returned
     :class:`~repro.stream.service.StreamResult` carries a matching that is
-    a (1 - 1/(k+1))-approximation of the *final* graph (certified, like
-    every other entry point).  For interactive / long-lived streams, use
+    a (1 - 1/(k+1))-approximation of the *final* graph, certified like
+    every other entry point
+    (:meth:`~repro.stream.service.MatchingService.result`).  For
+    interactive / long-lived streams, use
     :class:`~repro.stream.service.MatchingService` directly.
     """
     from pathlib import Path as _Path
@@ -316,7 +338,7 @@ def stream_matching(graph: Optional[Graph] = None, *,
     if isinstance(updates, (str, _Path)):
         updates = load_updates(updates)
     service.apply(updates)
-    result = service.result(certify_result=certify_result)
+    result = service.result()
     service.close()
     return result
 

@@ -162,11 +162,13 @@ class LubyMISKernel(RoundKernel):
                     [self.draw[i] for i, _ in pending_draws], dtype=np.int64)
                 self.drawn_at[idx] = 1
             if A.num_slots:
-                # reduceat wants every offset < num_slots; clipping only
-                # garbles rows that are empty, and empty rows belong to
-                # degree-0 nodes that halted in setup and are never read
-                self._segstarts = np.minimum(A.np_indptr[:-1],
-                                             A.num_slots - 1)
+                # reduceat wants every offset < num_slots, so the trailing
+                # rows that start at num_slots are cut off; an empty row
+                # elsewhere garbles only its own entry.  Empty rows belong
+                # to degree-0 nodes that halted in setup and are never read
+                starts = A.np_indptr[:-1]
+                self._segstarts = starts[
+                    :int(np.searchsorted(starts, A.num_slots))]
                 self._slot_owner = np.repeat(np.arange(n, dtype=np.int64),
                                              np.diff(A.np_indptr))
         else:

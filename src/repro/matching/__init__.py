@@ -10,6 +10,7 @@ from .cover import (
     koenig_cover,
 )
 from .paths import (
+    alternating_bfs,
     augment_all,
     canonical_path,
     enumerate_alternating_cycles,
@@ -37,6 +38,7 @@ __all__ = [
     "is_vertex_cover",
     "koenig_cover",
     "matching_from_edges",
+    "alternating_bfs",
     "augment_all",
     "canonical_path",
     "enumerate_alternating_cycles",

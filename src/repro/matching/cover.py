@@ -13,10 +13,11 @@ exact matchers against an independent witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..graphs.graph import BipartiteGraph, Graph, GraphError
 from .core import Matching
+from .paths import alternating_bfs
 
 
 def is_vertex_cover(graph: Graph, cover: Set[int]) -> bool:
@@ -38,28 +39,14 @@ def koenig_cover(graph: Graph, matching: Matching) -> Set[int]:
 
     Construction: let Z be the nodes reachable from free left nodes by
     alternating paths (unmatched edges left-to-right, matched edges
-    right-to-left); the cover is (L \\ Z) ∪ (R ∩ Z).  If ``matching`` is
-    maximum, the result is a vertex cover with exactly ``matching.size``
-    nodes; if not, the construction may fail to cover (callers can use that
-    as a maximality test).
+    right-to-left, :func:`~repro.matching.paths.alternating_bfs`); the
+    cover is (L \\ Z) ∪ (R ∩ Z).  If ``matching`` is maximum, the result is
+    a vertex cover with exactly ``matching.size`` nodes; if not, the search
+    stops at an augmenting path and the result does not prove optimality
+    (callers can use that as a maximality test).
     """
     left, right = _sides(graph)
-    reachable: Set[int] = {v for v in left if matching.is_free(v)}
-    frontier: List[int] = sorted(reachable)
-    while frontier:
-        nxt: List[int] = []
-        for u in frontier:
-            if u in left:
-                for v in graph.neighbors(u):
-                    if v not in reachable and not matching.contains_edge(u, v):
-                        reachable.add(v)
-                        nxt.append(v)
-            else:
-                mate = matching.mate(u)
-                if mate is not None and mate not in reachable:
-                    reachable.add(mate)
-                    nxt.append(mate)
-        frontier = nxt
+    reachable, _ = alternating_bfs(graph, matching, left)
     return (left - reachable) | (right & reachable)
 
 

@@ -88,6 +88,39 @@ def shortest_augmenting_path_length(graph: Graph, matching: Matching,
     return None
 
 
+def alternating_bfs(graph: Graph, matching: Matching, left: Iterable[int],
+                    max_len: Optional[int] = None
+                    ) -> Tuple[Set[int], Optional[int]]:
+    """Layered alternating BFS from the free vertices of ``left``.
+
+    ``left`` is one side of a bipartition of ``graph``.  The search leaves
+    left vertices by unmatched edges and right vertices by matched ones
+    (the search phase of Hopcroft-Karp), one layer of two edges at a time.
+    It stops at the first free right vertex, which ends a shortest
+    augmenting path, or once paths would exceed ``max_len`` edges.
+    Returns ``(reached, length)``: the vertices reached, and the edge count
+    of the shortest augmenting path (``None`` if none was found).  O(n + m).
+    """
+    frontier = [u for u in left if matching.is_free(u)]
+    reached = set(frontier)
+    length = 1
+    while frontier and (max_len is None or length <= max_len):
+        nxt = []
+        for u in frontier:
+            for v in graph.neighbors(u):
+                if v in reached:
+                    continue
+                reached.add(v)
+                mate = matching.mate(v)
+                if mate is None:
+                    return reached, length
+                reached.add(mate)
+                nxt.append(mate)
+        frontier = nxt
+        length += 2
+    return reached, None
+
+
 def paths_conflict(p: Sequence[int], q: Sequence[int]) -> bool:
     """Two augmenting paths conflict iff they share a node (Definition 3.1)."""
     return not set(p).isdisjoint(q)

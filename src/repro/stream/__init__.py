@@ -14,7 +14,6 @@ from .replay import (
     ReplayReport,
     percentile,
     replay_events,
-    replay_events_legacy,
     replay_switch,
 )
 from .workload import EdgeUpdate, as_update, load_updates, random_churn, save_updates
@@ -31,7 +30,6 @@ __all__ = [
     "percentile",
     "random_churn",
     "replay_events",
-    "replay_events_legacy",
     "replay_switch",
     "save_updates",
 ]

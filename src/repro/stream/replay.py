@@ -9,11 +9,7 @@ Shared by ``python -m repro stream`` and ``tools/bench_ratios.py``:
 * :func:`replay_switch` — generate and serve a closed-loop switch workload
   (:class:`~repro.switchsim.updates.SwitchUpdateStream`): per cycle, the
   arrivals stream in, the service's latest epoch snapshot schedules the
-  crossbar, and the served cells stream back as departures;
-* :func:`replay_events_legacy` — the per-event baseline the batched
-  service is benchmarked against: a ``repair="legacy"``
-  :class:`~repro.stream.service.MatchingService` that commits after every
-  update.
+  crossbar, and the served cells stream back as departures.
 
 Each returns a :class:`ReplayReport` with throughput (updates/sec), commit
 latency percentiles, and the approximation-ratio spot checks that keep the
@@ -230,53 +226,3 @@ def replay_switch(ports: int = 32,
     }
     return _report(service, events, wall, latencies, checks, extra)
 
-
-def replay_events_legacy(updates: Iterable[UpdateLike],
-                         *,
-                         k: int = 2,
-                         graph: Optional[Graph] = None,
-                         limit: Optional[int] = None,
-                         clock: Callable[[], float] = time.perf_counter
-                         ) -> ReplayReport:
-    """Per-event legacy-repair baseline over the same stream.
-
-    A ``repair="legacy"`` :class:`MatchingService` commits after every
-    event, so each one triggers an immediate repair (the pre-batching
-    cost model).  Weight updates map to ``insert_edge`` — the closest
-    per-event analogue, which also repairs around the touched edge.
-    ``limit`` stops the replay after that many events.
-    """
-    service = MatchingService(graph, k=k, repair="legacy")
-    events = 0
-    latencies: List[float] = []
-    t_start = clock()
-    for raw in updates:
-        if limit is not None and events >= limit:
-            break
-        up = as_update(raw)
-        t0 = clock()
-        if up.op in ("insert", "weight"):
-            service.insert_edge(up.u, up.v, up.weight)
-            operation = "insert_edge"
-        elif up.op == "delete":
-            service.delete_edge(up.u, up.v)
-            operation = "delete_edge"
-        elif up.op == "insert_node":
-            service.insert_node(up.u)
-            operation = "insert_node"
-        else:
-            service.delete_node(up.u)
-            operation = "delete_node"
-        service.commit(operation=operation)
-        latencies.append(clock() - t0)
-        events += 1
-    wall = clock() - t_start
-    return ReplayReport(
-        events=events, batches=events, seconds=wall,
-        updates_per_sec=(events / wall if wall > 0 else 0.0),
-        latency_p50=percentile(latencies, 50.0),
-        latency_p95=percentile(latencies, 95.0),
-        latency_p99=percentile(latencies, 99.0),
-        size=service.matching.size, epochs=events,
-        augmentations=service.augmentations_total,
-        extra={"baseline": "MatchingService(repair='legacy')"})

@@ -173,8 +173,7 @@ class MatchingService:
 
     ``repair="fast"`` (default) uses the coalescing worklist repair with
     recompute escalation; ``repair="legacy"`` is the per-event baseline
-    the batched repair is measured against (experiment t15,
-    :func:`~repro.stream.replay.replay_events_legacy`): per-operation
+    the batched repair is measured against (experiment t15): per-operation
     seeding, ball-subgraph path enumeration, no escalation.  Drive it with
     one :meth:`commit` per update to reproduce per-event repair.
     """
@@ -669,8 +668,15 @@ class MatchingService:
         optimum = max_cardinality(self.graph).size
         return self.matching.size / optimum if optimum else 1.0
 
-    def result(self, certify_result: bool = False) -> StreamResult:
-        """The stream's cumulative result (commits any pending updates)."""
+    def result(self) -> StreamResult:
+        """The stream's cumulative result (commits any pending updates).
+
+        Its certificate's ``ratio_floor`` is Lemma 3.3's k/(k+1), checked
+        for the service's ``k`` (a layered BFS on bipartite graphs) without
+        the optimum; :meth:`current_ratio` measures the exact ratio.
+        """
+        from ..matching.verify import certify
+
         self.commit()
         result = StreamResult(
             matching=self.matching.copy(), network=self._last_network,
@@ -678,13 +684,9 @@ class MatchingService:
             updates=self.updates_applied,
             augmentations=self.augmentations_total,
             recomputes=self.recomputes, history=list(self.history))
-        if certify_result:
-            from ..matching.sequential.blossom import max_cardinality
-            from ..matching.verify import certify
-
-            result.certificate = certify(
-                self.graph, self.matching,
-                optimum_size=max_cardinality(self.graph).size)
+        result.certificate = certify(
+            self.graph, self.matching, k=self.k,
+            bipartition=self.graph.bipartition())
         return self._obs.stamp(result)
 
     def close(self) -> None:

@@ -52,7 +52,7 @@ from repro.dist.random_tools import (
     spawn_seed,
 )
 from repro.matching import Matching
-from repro.graphs import gnp, path_graph, random_bipartite
+from repro.graphs import Graph, gnp, path_graph, random_bipartite
 
 
 def _metrics_tuple(m):
@@ -233,6 +233,23 @@ class TestGoldenEquivalence:
             for execution in ("auto", "node")
         }
         assert results["auto"] == results["node"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_trailing_isolated_nodes_keep_the_last_row_whole(self, seed):
+        # empty CSR rows at the end must not cut a slot off the last
+        # non-empty row (node 5 would miss neighbour 4's draw)
+        g = Graph()
+        g.add_nodes(range(8))
+        for u, v in ((0, 1), (0, 4), (0, 5), (2, 3), (3, 5), (4, 5)):
+            g.add_edge(u, v)
+        results = {}
+        for execution in ("auto", "node"):
+            net = Network(g, policy=CONGEST, seed=seed, execution=execution)
+            results[execution] = (frozenset(luby_mis(net)),
+                                  _metrics_tuple(net.metrics))
+        assert results["auto"] == results["node"]
+        mis = results["auto"][0]
+        assert all(not (u in mis and v in mis) for u, v, _ in g.edges())
 
 
 def _run_luby_on(g, execution):

@@ -31,7 +31,6 @@ from repro.stream import (
     percentile,
     random_churn,
     replay_events,
-    replay_events_legacy,
     replay_switch,
     save_updates,
 )
@@ -223,7 +222,7 @@ class TestServiceBasics:
         g = gnp(14, 0.2, rng=2)
         svc = MatchingService(g, k=2, seed=3)
         svc.apply(random_churn(g, 50, seed=4))
-        result = svc.result(certify_result=True)
+        result = svc.result()
         assert result.epochs == svc.epoch
         assert result.updates == 50
         assert result.k == 2
@@ -526,7 +525,7 @@ class TestUnifiedAPI:
         assert result.algorithm == "matching_service"
         assert result.updates == 40
         assert result.certificate.valid
-        assert result.certificate.cardinality_ratio >= result.guarantee - 1e-9
+        assert result.certificate.ratio_floor >= result.guarantee - 1e-9
 
     def test_run_stream_from_trace_file(self, tmp_path):
         g = gnp(10, 0.25, rng=3)
@@ -640,14 +639,6 @@ class TestSwitchUpdateStream:
         assert replay_svc.graph.edge_set() == live_svc.graph.edge_set()
         assert live_svc.verify_invariant()
         assert replay_svc.verify_invariant()
-
-    def test_legacy_baseline_replay(self):
-        record = []
-        replay_switch(ports=4, cycles=40, load=0.5, seed=3, batch=8,
-                      spot_checks=0, record=record)
-        report = replay_events_legacy(record, k=2, limit=50)
-        assert report.events == min(50, len(record))
-        assert report.updates_per_sec > 0
 
 
 # ---------------------------------------------------------------------------

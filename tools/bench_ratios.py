@@ -498,8 +498,8 @@ def switch_windows(ports: int, load: float, k: int, batch: int
 
 
 def per_event(updates: List[EdgeUpdate]) -> List[EdgeUpdate]:
-    """The per-event cost model of ``replay_events_legacy``: a weight
-    update repairs as an ``insert_edge`` does."""
+    """The per-event cost model of the legacy repair: a weight update
+    repairs as an ``insert_edge`` does."""
     return [EdgeUpdate("insert", up.u, up.v, up.weight)
             if up.op == "weight" else up for up in updates]
 
