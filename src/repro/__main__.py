@@ -5,8 +5,6 @@ Usage::
     python -m repro experiments --list
     python -m repro experiments t01 t05      # run specific tables
     python -m repro experiments --all        # the full suite
-    python -m repro experiments --all --jobs 8 --cache .repro-cache
-    python -m repro experiments --all --jobs 2 --shards 4
     python -m repro experiments t01 --trace traces/ --profile
     python -m repro match edges.txt --eps 0.25 --seed 3
     python -m repro match edges.txt --weighted --eps 0.1
@@ -37,7 +35,7 @@ import sys
 from typing import Optional
 
 from .core.api import ALGORITHMS, approx_mcm, approx_mwm, run as run_algorithm
-from .experiments.suite import ALL_EXPERIMENTS
+from .experiments.suite import ALL_EXPERIMENTS, run_all
 from .graphs.graph import Graph
 from .graphs.io import read_edge_list
 from .models.base import CONGEST_MODEL, MPC_MODEL, ComputationModel
@@ -91,19 +89,6 @@ def _load_graph(spec: str, seed: int) -> Graph:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    if args.shards is not None:
-        if args.shards < 0:
-            print("--shards wants a count >= 0 (0 disables sharding)",
-                  file=sys.stderr)
-            return 2
-        # the environment switch reaches every Network the tier functions
-        # build, and is inherited by --jobs worker processes; outputs are
-        # bit-identical either way, so cached tables stay valid
-        import os
-
-        from .congest.sharding import SHARDS_ENV
-
-        os.environ[SHARDS_ENV] = str(args.shards)
     if args.list:
         print("available experiments:")
         for name in sorted(ALL_EXPERIMENTS):
@@ -120,40 +105,17 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    observed = args.trace is not None or args.profile
-    if observed and (args.jobs is not None or args.cache is not None):
-        print("--trace/--profile are serial-only; drop --jobs/--cache",
-              file=sys.stderr)
-        return 2
     if args.report:
         from .experiments.report import write_report
 
-        path = write_report(args.report, names,
-                            jobs=args.jobs, cache_dir=args.cache,
-                            trace_dir=args.trace, profile=args.profile)
+        path = write_report(args.report, names, trace_dir=args.trace,
+                            profile=args.profile)
         print(f"report written to {path}")
         return 0
-    if args.jobs is not None or args.cache is not None:
-        from .experiments.parallel import run_parallel
-
-        report = run_parallel(names, jobs=args.jobs, cache_dir=args.cache)
-        for table in report.tables:
-            table.show()
-        if args.cache is not None:
-            print(f"cache: {len(report.hits)} hit(s), "
-                  f"{len(report.computed)} computed", file=sys.stderr)
-        return 0
-    if observed:
-        from .experiments.suite import run_all
-
-        for table in run_all(names, trace_dir=args.trace,
-                             profile=args.profile):
-            table.show()
-        if args.trace is not None:
-            print(f"traces written under {args.trace}/", file=sys.stderr)
-        return 0
-    for name in names:
-        ALL_EXPERIMENTS[name]().show()
+    for table in run_all(names, trace_dir=args.trace, profile=args.profile):
+        table.show()
+    if args.trace is not None:
+        print(f"traces written under {args.trace}/", file=sys.stderr)
     return 0
 
 
@@ -364,30 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     exp = sub.add_parser("experiments",
-                         help="run the T1-T18 experiment tables")
+                         help="run the T1-T19 experiment tables")
     exp.add_argument("names", nargs="*", help="experiment ids, e.g. t01 t05")
     exp.add_argument("--all", action="store_true", help="run the full suite")
     exp.add_argument("--list", action="store_true",
                      help="list available experiments")
     exp.add_argument("--report", metavar="PATH",
                      help="write a markdown report instead of printing")
-    exp.add_argument("--jobs", type=int, metavar="N",
-                     help="run experiments on N worker processes "
-                          "(0 = all cores)")
-    exp.add_argument("--cache", metavar="DIR",
-                     help="memoize finished tables under DIR; unchanged "
-                          "experiments are read back instead of re-run")
-    exp.add_argument("--shards", type=int, metavar="K",
-                     help="run each eligible protocol on K shard worker "
-                          "processes (sets REPRO_SHARDS; 0 disables; "
-                          "composes with --jobs — keep jobs*K within the "
-                          "core count)")
     exp.add_argument("--trace", metavar="DIR",
                      help="stream each experiment's structured events to "
-                          "DIR/<name>.jsonl (serial-only)")
+                          "DIR/<name>.jsonl")
     exp.add_argument("--profile", action="store_true",
                      help="attach a profiler per experiment and print its "
-                          "per-protocol cost table (serial-only)")
+                          "per-protocol cost table")
     exp.set_defaults(func=_cmd_experiments)
 
     match = sub.add_parser("match", help="match a graph from an edge list")

@@ -166,23 +166,14 @@ class AsyncNetwork:
         }
         self._delay_rng = random.Random(seed ^ 0x5DEECE66D)
         self._run_counter = 0
-        from ..dist.random_tools import (  # late: repro.dist init cycle
-            node_seed_from_prefix,
-            node_stream_prefix,
-        )
-        self._node_stream_prefix = node_stream_prefix
-        self._node_seed_from_prefix = node_seed_from_prefix
-        self._rng_prefix = (-1, -1, 0)
+        # late import: repro.dist init cycle
+        from ..dist.random_tools import NodeStreams
+        self._streams = NodeStreams(seed)
 
     def node_rng(self, node_id: int, salt: int = 0) -> random.Random:
-        # identical mixing to Network.node_rng at the same run counter, so a
-        # program's random stream matches its synchronous execution
-        run, cached_salt, prefix = self._rng_prefix
-        if run != self._run_counter or cached_salt != salt:
-            prefix = self._node_stream_prefix(self.seed, self._run_counter,
-                                              salt)
-            self._rng_prefix = (self._run_counter, salt, prefix)
-        return random.Random(self._node_seed_from_prefix(prefix, node_id))
+        # the same streams as Network.node_rng at the same run counter, so
+        # a program's random stream matches its synchronous execution
+        return self._streams.rng(self._run_counter, node_id, salt)
 
     def run(self, factory: NodeFactory,
             shared: Optional[Dict[str, Any]] = None,

@@ -186,13 +186,8 @@ class Network:
         # per-node random streams: the splitmix64 spawn_seed chain
         # (imported late — repro.dist's package init itself imports this
         # module)
-        from ..dist.random_tools import (
-            node_seed_from_prefix,
-            node_stream_prefix,
-        )
-        self._node_stream_prefix = node_stream_prefix
-        self._node_seed_from_prefix = node_seed_from_prefix
-        self._rng_prefix: Tuple[int, int, int] = (-1, -1, 0)  # (run, salt, pre)
+        from ..dist.random_tools import NodeStreams
+        self._streams = NodeStreams(seed)
 
         # observability: explicit observe= wins, else the ambient bus of an
         # enclosing `observing(...)` context, else nothing
@@ -261,15 +256,10 @@ class Network:
 
         Seeds come from the splitmix64 :func:`~repro.dist.random_tools.
         spawn_seed` chain keyed by ``(seed, run, salt, node)``, so distinct
-        streams can never alias.  The per-run chain prefix is cached, so
-        spinning up all n streams costs one finalization per node.
+        streams can never alias (see :class:`~repro.dist.random_tools.
+        NodeStreams`).
         """
-        run, cached_salt, prefix = self._rng_prefix
-        if run != self._run_counter or cached_salt != salt:
-            prefix = self._node_stream_prefix(self.seed, self._run_counter,
-                                              salt)
-            self._rng_prefix = (self._run_counter, salt, prefix)
-        return random.Random(self._node_seed_from_prefix(prefix, node_id))
+        return self._streams.rng(self._run_counter, node_id, salt)
 
     def run(self, factory: NodeFactory, protocol: str = "protocol",
             shared: Optional[Dict[str, Any]] = None,

@@ -67,14 +67,9 @@ import weakref
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-#: Environment variable steering shard selection: unset/empty follows the
-#: constructor and auto rules; ``0``/``off`` disables sharding entirely
-#: (the kill switch); a positive integer forces that many shards for every
-#: eligible run, waiving the auto threshold and core-count checks.
-SHARDS_ENV = "REPRO_SHARDS"
 
 #: Auto-sharding engages only at or above this node count (smaller
 #: networks round-trip the pool faster than they compute).
@@ -90,27 +85,8 @@ DEFAULT_BALANCE = 1.2
 #: Initial per-worker halo block capacity in bytes (doubles on demand).
 INITIAL_HALO_BYTES = 1 << 16
 
-#: Default seconds a barrier wait may block before the pool is declared
-#: broken (override with :data:`TIMEOUT_ENV` for workloads whose single
-#: rounds legitimately run longer).
+#: Seconds a barrier wait may block before the pool is declared broken.
 BARRIER_TIMEOUT = 300.0
-
-#: Environment variable overriding :data:`BARRIER_TIMEOUT`: a positive
-#: float in seconds.  Anything unparsable falls back to the default.
-TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
-
-
-def barrier_timeout() -> float:
-    """The effective barrier timeout: :data:`TIMEOUT_ENV` or the default."""
-    raw = os.environ.get(TIMEOUT_ENV, "").strip()
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return BARRIER_TIMEOUT
-        if value > 0:
-            return value
-    return BARRIER_TIMEOUT
 
 
 class ShardingError(RuntimeError):
@@ -413,13 +389,8 @@ class _ShardWorker:
         self.my_indices: List[int] = [
             i for i, o in enumerate(spec.owner) if o == self.w]
         self._charge_cache: Dict[int, int] = {}
-        from ..dist.random_tools import (
-            node_seed_from_prefix,
-            node_stream_prefix,
-        )
-        self._node_stream_prefix = node_stream_prefix
-        self._node_seed_from_prefix = node_seed_from_prefix
-        self._rng_prefix: Tuple[int, int] = (-1, 0)  # (run, prefix)
+        from ..dist.random_tools import NodeStreams
+        self._streams = NodeStreams(spec.seed)
         # shared-memory attachments
         self.meta = _attach_shm(spec.meta_name)
         self.words = memoryview(self.meta.buf).cast("q")
@@ -436,14 +407,6 @@ class _ShardWorker:
         self._kernel_ctx: Optional[Any] = None
 
     # -- infrastructure ------------------------------------------------
-    def node_rng(self, run_counter: int, node_id: int) -> random.Random:
-        """Bit-identical replica of ``Network.node_rng`` (salt 0)."""
-        run, prefix = self._rng_prefix
-        if run != run_counter:
-            prefix = self._node_stream_prefix(self.spec.seed, run_counter, 0)
-            self._rng_prefix = (run_counter, prefix)
-        return random.Random(self._node_seed_from_prefix(prefix, node_id))
-
     def stat(self, col: int, value: int) -> None:
         self.words[self._stat_base + col] = value
 
@@ -476,7 +439,8 @@ class _ShardWorker:
         timeout = self.spec.timeout
         error: Optional[Tuple[int, int, BaseException]] = None
         ctx = self._kernel_context()
-        ctx.node_rng = lambda node_id: self.node_rng(run_counter, node_id)
+        # the coordinator's Network.node_rng streams (salt 0), bit for bit
+        ctx.node_rng = partial(self._streams.rng, run_counter)
         ctx.record_width = kernel_cls.shard_words
         kernel = None
         try:
@@ -738,8 +702,8 @@ def _cleanup_pool(processes: List[Any], conns: List[Any],
     """Finalizer-safe pool teardown (must not reference the Network).
 
     ``owner_pid`` guards against inherited finalizers: a process forked
-    while the pool is alive (a later pool's workers, an experiments
-    ``--jobs`` worker) carries this registration in its memory image, and
+    while the pool is alive (a later pool's workers, any forked child of
+    the caller) carries this registration in its memory image, and
     running it there would try to join processes it does not own and
     unlink shared memory the real owner still uses.  Only the creating
     process tears the pool down; everyone else releases their buffer
@@ -808,7 +772,7 @@ class ShardedNetwork:
         self.k = max(1, min(shards, n if n else 1))
         self.partition = partition_graph(net.csr, self.k, seed=net.seed,
                                          balance=balance)
-        self.timeout = barrier_timeout()
+        self.timeout = BARRIER_TIMEOUT
         self.broken = False
         self._closed = False
         self._run_state = "idle"
@@ -1092,35 +1056,15 @@ class ShardedNetwork:
 # selection
 # ---------------------------------------------------------------------------
 
-def env_shards() -> Optional[int]:
-    """:data:`SHARDS_ENV` parsed: None (no opinion), 0 (disabled), k>0."""
-    raw = os.environ.get(SHARDS_ENV, "").strip().lower()
-    if not raw:
-        return None
-    if raw in ("0", "off", "false", "no"):
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else 0
-
-
 def resolve_shards(net: Any) -> Optional[int]:
     """How many shards a run on ``net`` should use, or None for none.
 
-    The ladder: the environment kill switch (``REPRO_SHARDS=0``) beats
-    everything; a forced environment count beats the plan; ``shards=0``
-    in the plan disables sharding just like the environment kill switch;
-    ``shards=k`` forces ``k``; ``tier="sharded-kernel"`` opts in with the
-    default count; otherwise auto-sharding engages for large networks
-    (>= :data:`AUTO_SHARD_MIN_NODES` nodes) on multi-core machines.
+    The ladder: ``shards=0`` in the plan disables sharding (the kill
+    switch); ``shards=k`` forces ``k``; ``tier="sharded-kernel"`` opts in
+    with the default count; otherwise auto-sharding engages for large
+    networks (>= :data:`AUTO_SHARD_MIN_NODES` nodes) on multi-core
+    machines.
     """
-    forced = env_shards()
-    if forced == 0:
-        return None
-    if forced is not None:
-        return forced
     plan = net.execution_plan
     if plan.shards == 0:
         return None

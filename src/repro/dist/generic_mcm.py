@@ -23,7 +23,7 @@ shorter than 2k+1 and hence a (1 - 1/(k+1))-approximation (Lemmas 3.2/3.3)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..congest.network import Network
 from ..congest.policies import LOCAL
@@ -71,26 +71,6 @@ def _paths_from_views(views, graph_nodes, mate, ell) -> List[Path]:
     return sorted(all_paths)
 
 
-def _conflict_from_paths(paths: List[Path], ell: int) -> ConflictGraph:
-    by_phys: Dict[int, List[int]] = {}
-    for i, p in enumerate(paths):
-        for node in p:
-            by_phys.setdefault(node, []).append(i)
-    adjacency: List[Set[int]] = [set() for _ in paths]
-    for members in by_phys.values():
-        for a in members:
-            for b in members:
-                if a != b:
-                    adjacency[a].add(b)
-    return ConflictGraph(
-        ell=ell,
-        paths=paths,
-        adjacency=[sorted(s) for s in adjacency],
-        leader=[min(p[0], p[-1]) for p in paths],
-        _by_phys_node=by_phys,
-    )
-
-
 def _run_mis(driver: PhaseDriver, conflict: ConflictGraph, ell: int):
     """Luby MIS on the conflict graph; returns (mis, mis_rounds).
 
@@ -126,7 +106,7 @@ def generic_mcm(graph: Graph, k: int, seed: int = 0,
             mate = {v: matching.mate(v) for v in graph.nodes}
             views = flood_views(net, mate, rounds=2 * ell)
             paths = _paths_from_views(views, graph.nodes, mate, ell)
-            conflict = _conflict_from_paths(paths, ell)
+            conflict = ConflictGraph.from_paths(paths, ell)
 
             mis_rounds = 0
             selected: List[Path] = []

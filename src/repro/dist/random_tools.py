@@ -69,11 +69,9 @@ def node_stream_seed(seed: int, run_counter: int, node_id: int,
 
     The derivation routes through the :func:`spawn_seed` splitmix64 chain,
     so streams are collision-safe: distinct ``(seed, run, salt, node)``
-    quadruples always yield distinct (and decorrelated) seeds.  Both
-    :class:`~repro.congest.network.Network` and
-    :class:`~repro.congest.asynchrony.AsyncNetwork` derive node streams
-    from this chain, so a program's random stream always matches between
-    the two executors.
+    quadruples always yield distinct (and decorrelated) seeds; every
+    executor derives its node streams from this chain through
+    :class:`NodeStreams`.
     """
     return spawn_seed(seed, "node", run_counter, salt, node_id)
 
@@ -83,10 +81,10 @@ def node_stream_prefix(seed: int, run_counter: int, salt: int = 0) -> int:
 
     ``spawn_seed(seed, "node", run, salt, node_id)`` folds the same
     ``(seed, "node", run, salt)`` prefix for every node of a run — including
-    an FNV hash of the string label each time.  Executors therefore compute
-    the prefix once per ``(run, salt)`` and derive each node's seed with
-    :func:`node_seed_from_prefix`, turning n four-fold chains into one
-    prefix plus n single finalizations.  By construction
+    an FNV hash of the string label each time.  :class:`NodeStreams`
+    therefore computes the prefix once per ``(run, salt)`` and derives each
+    node's seed with :func:`node_seed_from_prefix`, turning n four-fold
+    chains into one prefix plus n single finalizations.  By construction
     ``node_seed_from_prefix(node_stream_prefix(s, r, t), v) ==
     node_stream_seed(s, r, v, t)`` for every node id ``v``.
     """
@@ -99,6 +97,33 @@ def node_stream_prefix(seed: int, run_counter: int, salt: int = 0) -> int:
 def node_seed_from_prefix(prefix: int, node_id: int) -> int:
     """Finalize one node's stream seed from a precomputed prefix state."""
     return _splitmix64(prefix ^ (node_id & _MASK64))
+
+
+class NodeStreams:
+    """The private per-node random streams of one executor.
+
+    Node ``v``'s stream in protocol run ``run`` under ``salt`` is a
+    ``random.Random`` seeded with ``node_stream_seed(seed, run, v, salt)``.
+    The chain prefix of the last ``(run, salt)`` is cached, so spinning up
+    all n streams of a run costs one finalization per node.  The
+    synchronous, asynchronous and sharded executors all draw node streams
+    from here, so a program's random stream matches across them.
+    """
+
+    __slots__ = ("seed", "_run", "_salt", "_prefix")
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self._run = -1
+        self._salt = -1
+        self._prefix = 0
+
+    def rng(self, run: int, node_id: int, salt: int = 0) -> random.Random:
+        """Node ``node_id``'s stream in run ``run`` under ``salt``."""
+        if run != self._run or salt != self._salt:
+            self._prefix = node_stream_prefix(self.seed, run, salt)
+            self._run, self._salt = run, salt
+        return random.Random(node_seed_from_prefix(self._prefix, node_id))
 
 
 def sample_max_uniform(rng: random.Random, count: int, cap: int) -> int:

@@ -1,33 +1,14 @@
-"""Experiment harness: tables T1-T18 validating every claim of the paper."""
+"""Experiment harness: tables T1-T19 validating every claim of the paper."""
 
-from .parallel import (
-    ParallelReport,
-    ResultCache,
-    WorkItem,
-    cache_key,
-    parallel_map,
-    run_parallel,
-)
 from .report import build_report, table_to_markdown, write_report
-from .stats import Summary, ratio_of_means, significantly_greater, summarize
 from .suite import ALL_EXPERIMENTS, run_all
 from .tables import Table
 
 __all__ = [
     "ALL_EXPERIMENTS",
     "run_all",
-    "run_parallel",
-    "parallel_map",
-    "ParallelReport",
-    "ResultCache",
-    "WorkItem",
-    "cache_key",
     "Table",
     "build_report",
     "table_to_markdown",
     "write_report",
-    "Summary",
-    "ratio_of_means",
-    "significantly_greater",
-    "summarize",
 ]

@@ -11,9 +11,9 @@ from __future__ import annotations
 import platform
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
-from .suite import ALL_EXPERIMENTS
+from .suite import ALL_EXPERIMENTS, run_all
 from .tables import Table
 
 
@@ -41,33 +41,21 @@ def table_to_markdown(table: Table) -> str:
 
 
 def build_report(names: Optional[Sequence[str]] = None,
-                 title: str = "repro experiment report",
-                 tables: Optional[Sequence[Table]] = None,
-                 jobs: Optional[int] = None,
-                 cache_dir: Optional[str] = None,
                  trace_dir: Optional[str] = None,
                  profile: bool = False) -> str:
     """Run experiments and return the full markdown document.
 
-    ``tables`` short-circuits execution with precomputed results (must
-    align with ``names``); otherwise ``jobs``/``cache_dir`` forward to
-    :func:`repro.experiments.suite.run_all` for parallel/cached runs, and
-    ``trace_dir``/``profile`` attach observability (serial-only; profiled
-    tables gain a ``#### Profile`` section).
+    ``trace_dir``/``profile`` forward to
+    :func:`repro.experiments.suite.run_all`; profiled tables gain a
+    ``#### Profile`` section.
     """
     chosen = list(names) if names is not None else sorted(ALL_EXPERIMENTS)
     unknown = [n for n in chosen if n not in ALL_EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments: {', '.join(unknown)}")
-    if tables is None:
-        from .suite import run_all
-
-        tables = run_all(chosen, jobs=jobs, cache_dir=cache_dir,
-                         trace_dir=trace_dir, profile=profile)
-    elif len(tables) != len(chosen):
-        raise ValueError("tables and names must align one-to-one")
+    tables = run_all(chosen, trace_dir=trace_dir, profile=profile)
     parts: List[str] = [
-        f"# {title}",
+        "# repro experiment report",
         "",
         f"- python: `{sys.version.split()[0]}`",
         f"- platform: `{platform.platform()}`",
@@ -86,12 +74,10 @@ def build_report(names: Optional[Sequence[str]] = None,
 
 def write_report(path: Union[str, Path],
                  names: Optional[Sequence[str]] = None,
-                 jobs: Optional[int] = None,
-                 cache_dir: Optional[str] = None,
                  trace_dir: Optional[str] = None,
                  profile: bool = False) -> Path:
     """Build and write the report; returns the path."""
     path = Path(path)
-    path.write_text(build_report(names, jobs=jobs, cache_dir=cache_dir,
-                                 trace_dir=trace_dir, profile=profile))
+    path.write_text(build_report(names, trace_dir=trace_dir,
+                                 profile=profile))
     return path

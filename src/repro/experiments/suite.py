@@ -753,35 +753,19 @@ ALL_EXPERIMENTS: Dict[str, Callable[[], Table]] = {
 
 
 def run_all(names: Optional[Sequence[str]] = None,
-            jobs: Optional[int] = None,
-            cache_dir: Optional[str] = None,
             trace_dir: Optional[str] = None,
             profile: bool = False) -> List[Table]:
-    """Run (a subset of) the suite and return the tables.
-
-    ``jobs`` > 1 maps the tiers over a multiprocessing pool and
-    ``cache_dir`` memoizes finished tables on disk (content-keyed, so
-    edited experiments recompute); see :mod:`repro.experiments.parallel`.
-    The default stays serial and cache-free.
+    """Run (a subset of) the suite, one table after another, and return
+    the tables.
 
     ``trace_dir`` streams every network the experiments build to one JSONL
     trace per experiment (``<trace_dir>/<name>.jsonl``), via the ambient
     :func:`~repro.observe.events.observing` context; ``profile=True``
     attaches a :class:`~repro.observe.profiling.Profiler` per experiment
-    and stores its report as ``table.profile``.  Both are serial-only
-    (worker processes do not inherit the ambient observer) and therefore
-    incompatible with ``jobs``/``cache_dir``.
+    and stores its report as ``table.profile``.
     """
-    observed = trace_dir is not None or profile
-    if jobs is not None or cache_dir is not None:
-        if observed:
-            raise ValueError(
-                "trace_dir/profile are serial-only; drop --jobs/--cache")
-        from .parallel import run_parallel  # deferred: parallel imports us
-
-        return run_parallel(names, jobs=jobs, cache_dir=cache_dir).tables
     chosen = names if names is not None else sorted(ALL_EXPERIMENTS)
-    if not observed:
+    if trace_dir is None and not profile:
         return [ALL_EXPERIMENTS[name]() for name in chosen]
 
     from pathlib import Path

@@ -10,7 +10,7 @@ endpoint with the smaller identifier as *leader*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from ..graphs.graph import Graph
 from .core import Matching
@@ -32,6 +32,31 @@ class ConflictGraph:
     adjacency: List[List[int]]
     leader: List[int]
     _by_phys_node: Dict[int, List[int]] = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def from_paths(cls, paths: List[Path], ell: int) -> "ConflictGraph":
+        """The conflict graph whose nodes are ``paths``, in order.
+
+        Two paths are adjacent iff they share a physical node; each path's
+        leader is its endpoint of smaller id.
+        """
+        by_phys: Dict[int, List[int]] = {}
+        for i, p in enumerate(paths):
+            for v in p:
+                by_phys.setdefault(v, []).append(i)
+        adjacency: List[Set[int]] = [set() for _ in paths]
+        for members in by_phys.values():
+            for a in members:
+                for b in members:
+                    if a != b:
+                        adjacency[a].add(b)
+        return cls(
+            ell=ell,
+            paths=paths,
+            adjacency=[sorted(s) for s in adjacency],
+            leader=[min(p[0], p[-1]) for p in paths],
+            _by_phys_node=by_phys,
+        )
 
     @property
     def num_nodes(self) -> int:
@@ -64,22 +89,5 @@ def build_conflict_graph(graph: Graph, matching: Matching, ell: int) -> Conflict
     by tests; it is exponential in ``ell`` in the worst case, exactly like
     the local views the paper's Algorithm 2 floods.
     """
-    paths = enumerate_augmenting_paths(graph, matching, ell)
-    by_phys: Dict[int, List[int]] = {}
-    for i, p in enumerate(paths):
-        for v in p:
-            by_phys.setdefault(v, []).append(i)
-    adjacency: List[Set[int]] = [set() for _ in paths]
-    for members in by_phys.values():
-        for a in members:
-            for b in members:
-                if a != b:
-                    adjacency[a].add(b)
-    leaders = [min(p[0], p[-1]) for p in paths]
-    return ConflictGraph(
-        ell=ell,
-        paths=paths,
-        adjacency=[sorted(s) for s in adjacency],
-        leader=leaders,
-        _by_phys_node=by_phys,
-    )
+    return ConflictGraph.from_paths(
+        enumerate_augmenting_paths(graph, matching, ell), ell)

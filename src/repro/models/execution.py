@@ -20,10 +20,8 @@ the ladder when a rung is ineligible.  The CONGEST rungs, fastest first::
 ``tier="auto"`` (the default) applies the auto rules: kernels whenever a
 protocol registers one, sharding on top when requested or when the
 network is large and the machine multi-core.  ``shards=None`` follows
-the auto rules, ``shards=0`` is the kill switch (never shard — same
-semantics as ``REPRO_SHARDS=0``), ``shards=k`` forces ``k`` workers.
-``REPRO_SHARDS`` (set by ``python -m repro experiments --shards``)
-overrides the plan's shard count at run time.
+the auto rules, ``shards=0`` is the kill switch (never shard),
+``shards=k`` forces ``k`` workers.
 
 :func:`resolve_execution` is the single resolution routine used by both
 ``Network.run`` and ``Network.explain_execution``; the latter collects a
@@ -82,8 +80,8 @@ class ExecutionPlan:
     ``tier`` — ``"auto"`` or one of :data:`ALL_TIERS`: the highest rung
     this plan allows (resolution falls down the ladder when a rung is
     ineligible for a given run).  ``shards`` — None follows the auto
-    rules, ``0`` disables sharding entirely (the kwarg kill switch,
-    mirroring ``REPRO_SHARDS=0``), ``k >= 1`` forces ``k`` workers.
+    rules, ``0`` disables sharding entirely (the kill switch),
+    ``k >= 1`` forces ``k`` workers.
     """
 
     tier: str = "auto"

@@ -443,9 +443,7 @@ class observing:
             approx_mcm(graph, eps=0.25, seed=0)
 
     An explicit ``observe=`` argument takes precedence over the
-    ambient bus.  Contexts nest; the innermost wins.  Serial execution
-    only — worker processes of the parallel experiment runner do not
-    inherit the ambient context.
+    ambient bus.  Contexts nest; the innermost wins.
     """
 
     def __init__(self, *observers: Any) -> None:

@@ -25,7 +25,7 @@ loops:
   dataclass extends; it is what feeds
   :class:`repro.core.results.MatchingResult`.
 
-Cost folding comes in three modes (``fold=``):
+Cost folding comes in two modes (``fold=``):
 
 ``"emulate"``
     The child run is a *virtual* emulation whose physical cost is a
@@ -44,10 +44,6 @@ Cost folding comes in three modes (``fold=``):
     (:meth:`~repro.runtime.metrics.Metrics.absorb`) — Algorithm 5's black
     boxes.  Only the per-label breakdown is recorded in the subnetwork
     account (no double count in ``rounds_total``).
-
-``"none"``
-    Book-keeping only: the run is recorded in the subnetwork account but
-    no physical charge is made (measurement / what-if harnesses).
 
 Dropped-message counts always fold into ``parent.dropped``, so fault
 injection is visible end to end.
@@ -77,7 +73,7 @@ __all__ = [
     "register_map",
 ]
 
-FOLD_MODES = ("emulate", "absorb", "none")
+FOLD_MODES = ("emulate", "absorb")
 
 
 def as_network(net: Union[Network, "Subnetwork"]) -> Network:
@@ -232,11 +228,9 @@ class Subnetwork:
                                               child.max_message_bits)
             parent.record_subnetwork(self.label, child,
                                      traffic=not self.fold_traffic)
-        elif self.fold == "absorb":
+        else:  # "absorb"
             parent.absorb(child)
             parent.record_subnetwork(self.label, child, physical=True)
-        else:  # "none"
-            parent.record_subnetwork(self.label, child)
         self.parent.dropped += self.network.dropped
 
 

@@ -72,6 +72,12 @@ from ..matching.core import Matching
 from ..matching.paths import enumerate_augmenting_paths
 from .workload import EdgeUpdate, UpdateLike, as_update
 
+#: A commit escalates to a from-scratch recompute when its seed set has at
+#: least :data:`RECOMPUTE_MIN_SEEDS` nodes *and* covers at least this
+#: fraction of the graph; smaller batches repair locally.
+RECOMPUTE_FRACTION = 0.5
+RECOMPUTE_MIN_SEEDS = 256
+
 
 @dataclass
 class BatchStats:
@@ -189,8 +195,6 @@ class MatchingService:
                  profile: Any = None,
                  batch: Optional[int] = None,
                  max_rounds: Optional[int] = None,
-                 recompute_fraction: float = 0.5,
-                 recompute_min_seeds: int = 256,
                  repair: str = "fast",
                  name: str = "matching_service") -> None:
         if k is not None and eps is not None:
@@ -218,8 +222,6 @@ class MatchingService:
         self.batch = batch
         self.execution = plan
         self.max_rounds = max_rounds
-        self.recompute_fraction = recompute_fraction
-        self.recompute_min_seeds = recompute_min_seeds
         self.repair_mode = repair
         self.graph: Graph = graph.copy() if graph is not None else Graph()
         self.matching: Matching = (matching.copy() if matching is not None
@@ -600,8 +602,8 @@ class MatchingService:
         if self.repair_mode == "legacy" or not seeds:
             return False
         n = self.graph.num_nodes
-        return (len(seeds) >= self.recompute_min_seeds
-                and len(seeds) >= self.recompute_fraction * max(n, 1))
+        return (len(seeds) >= RECOMPUTE_MIN_SEEDS
+                and len(seeds) >= RECOMPUTE_FRACTION * max(n, 1))
 
     def _recompute(self, epoch: int) -> Tuple[int, int]:
         """From-scratch static run on the service's execution plan.

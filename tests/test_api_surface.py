@@ -1,6 +1,7 @@
 """Tests for the unified API surface: shared keywords, run() facade."""
 
 import pathlib
+import re
 
 import pytest
 
@@ -77,6 +78,13 @@ class TestNoCompatibilityLayer:
         pkg = pathlib.Path(repro.__file__).parent
         offenders = [str(path.relative_to(pkg)) for path in pkg.rglob("*.py")
                      if "DeprecationWarning" in path.read_text()]
+        assert offenders == []
+
+    def test_no_module_reads_the_environment(self):
+        # every knob is a keyword or a CLI flag, never an environment variable
+        pkg = pathlib.Path(repro.__file__).parent
+        offenders = [str(path.relative_to(pkg)) for path in pkg.rglob("*.py")
+                     if re.search(r"os\.environ|getenv", path.read_text())]
         assert offenders == []
 
 

@@ -25,12 +25,6 @@ def _load():
 bench = _load()
 
 
-@pytest.fixture(autouse=True)
-def _no_forced_shards(monkeypatch):
-    # main() drops REPRO_SHARDS; let monkeypatch restore it afterwards
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
-
-
 class FakeClock:
     def __init__(self):
         self.now = 0.0

@@ -1,7 +1,7 @@
 """The unified ``execution=`` plan API.
 
 Covers the :class:`~repro.models.execution.ExecutionPlan` object itself,
-the ``Network(execution=...)`` keyword, ``REPRO_SHARDS``,
+the ``Network(execution=...)`` keyword,
 ``Network.explain_execution()``'s reason chains for every tier, plan
 inheritance into subnetworks, numpy-fallback golden equivalence under
 sharding, and the zero-copy halo-view mechanics the sharded-kernel tier
@@ -23,7 +23,6 @@ from repro.congest import (
     LOCAL,
     ExecutionPlan,
     Network,
-    SHARDS_ENV,
     TIERS,
     resolve_shards,
 )
@@ -287,23 +286,16 @@ class TestMPCLadderExplain:
             Network(path_graph(6), execution="mpc_kernel")
 
 
-# --- REPRO_SHARDS and sharded goldens ----------------------------------
+# --- the plan alone picks the shard count, and sharded goldens ----------
 
 class TestShimGoldens:
-    """``REPRO_SHARDS``, the one environment knob left on the plan path,
-    and shard-count goldens."""
+    """No environment variable steers the plan; shard-count goldens."""
 
-    def test_env_shards_forces_both_paths(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "2")
-        g = gnp(30, 0.2, rng=0)
-        for kwargs in ({}, {"execution": ExecutionPlan()}):
-            net = Network(g, policy=LOCAL, seed=0, **kwargs)
-            assert resolve_shards(net) == 2
-        monkeypatch.setenv(SHARDS_ENV, "0")
-        net = Network(g, policy=LOCAL, seed=0,
-                      execution=ExecutionPlan(tier="sharded-kernel",
-                                              shards=4))
+    def test_environment_does_not_force_shards(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARDS", "2")
+        net = Network(gnp(30, 0.2, rng=0), policy=LOCAL)
         assert resolve_shards(net) is None
+        assert net.explain_execution(LubyMISNode).tier == "kernel"
 
     def test_behavior_identical_under_sharding(self):
         golden = _run_israeli(7)

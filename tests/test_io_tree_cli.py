@@ -148,6 +148,19 @@ class TestCLI:
 
         assert main(["experiments"]) == 2
 
+    # the suite runs serially: no worker pool, cache or shard knob
+    @pytest.mark.parametrize("flag", ["--jobs", "--cache", "--shards"])
+    def test_experiments_runner_flags_are_gone(self, flag, tmp_path, capsys):
+        from repro.__main__ import main
+
+        value = str(tmp_path / "cache") if flag == "--cache" else "2"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "t04", flag, value])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error:")
+        assert not (tmp_path / "cache").exists()
+
     def test_match_unweighted(self, tmp_path, capsys):
         from repro.__main__ import main
 

@@ -1,6 +1,6 @@
 """Tests for the composable protocol runtime (repro.runtime.driver).
 
-Covers the Subnetwork lifecycle (seed spawning, the three fold modes,
+Covers the Subnetwork lifecycle (seed spawning, the two fold modes,
 event nesting, fault inheritance), the PhaseDriver scaffold and the shared
 ProtocolResult surface.
 """
@@ -142,8 +142,9 @@ class TestSubnetwork:
 
     def test_invalid_fold_mode_rejected(self):
         parent = Network(path_graph(3))
-        with pytest.raises(ValueError):
-            parent.subnetwork(path_graph(2), label="x", fold="merge")
+        for fold in ("merge", "none"):
+            with pytest.raises(ValueError):
+                parent.subnetwork(path_graph(2), label="x", fold=fold)
 
     def test_emulate_charges_parent_and_fills_sub_account(self):
         parent = Network(path_graph(6), policy=LOCAL, seed=3)
@@ -190,17 +191,6 @@ class TestSubnetwork:
         assert (m.sub_rounds, m.sub_messages, m.sub_bits) == (0, 0, 0)
         assert m.subnetwork_rounds == {"box": child_rounds}
         assert m.rounds_total == m.total_rounds
-
-    def test_none_fold_is_bookkeeping_only(self):
-        parent = Network(path_graph(6), seed=2)
-        with parent.subnetwork(path_graph(6), label="probe",
-                               fold="none") as sub:
-            luby_mis(sub)
-            child_rounds = sub.rounds
-        m = parent.metrics
-        assert metric_tuple(m) == (0, 0, 0, 0)
-        assert m.sub_rounds == child_rounds
-        assert m.subnetwork_rounds == {"probe": child_rounds}
 
     def test_repeated_labels_accumulate(self):
         parent = Network(path_graph(6), policy=LOCAL, seed=1)

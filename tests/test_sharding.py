@@ -547,23 +547,6 @@ class TestPoolRecovery:
         finally:
             net.close()
 
-    def test_barrier_timeout_env_override(self, monkeypatch):
-        assert sharding.barrier_timeout() == sharding.BARRIER_TIMEOUT
-        monkeypatch.setenv(sharding.TIMEOUT_ENV, "12.5")
-        assert sharding.barrier_timeout() == 12.5
-        monkeypatch.setenv(sharding.TIMEOUT_ENV, "not-a-number")
-        assert sharding.barrier_timeout() == sharding.BARRIER_TIMEOUT
-        monkeypatch.setenv(sharding.TIMEOUT_ENV, "-5")
-        assert sharding.barrier_timeout() == sharding.BARRIER_TIMEOUT
-        monkeypatch.setenv(sharding.TIMEOUT_ENV, "12.5")
-        g = gnp(30, 0.2, rng=0)
-        net = Network(g, policy=LOCAL, seed=0, execution=_sharded(1))
-        try:
-            assert _selects_shards(net, LubyMISNode)
-            assert net._sharded_executor(1).timeout == 12.5
-        finally:
-            net.close()
-
 
 class TestSelection:
     def _eligible_net(self, **kwargs):
@@ -630,22 +613,6 @@ class TestSelection:
         finally:
             net.close()
 
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(sharding.SHARDS_ENV, "0")
-        net = self._eligible_net(execution=_sharded(2))
-        try:
-            assert not _selects_shards(net, LubyMISNode)
-        finally:
-            net.close()
-
-    def test_env_forces_shards(self, monkeypatch):
-        monkeypatch.setenv(sharding.SHARDS_ENV, "1")
-        net = self._eligible_net()
-        try:
-            assert _selects_shards(net, LubyMISNode)
-        finally:
-            net.close()
-
     def test_fallback_conditions(self):
         # every condition that must force single-process execution does
         class EdgePolicy(BandwidthPolicy):
@@ -709,8 +676,7 @@ class TestSelection:
                     execution=ExecutionPlan(tier="legacy", shards=2))
 
     def test_shards_zero_is_a_kill_switch(self):
-        # shards=0 pins single-process execution (the programmatic twin of
-        # REPRO_SHARDS=0) instead of raising
+        # shards=0 pins single-process execution instead of raising
         net = self._eligible_net(execution=ExecutionPlan(shards=0))
         try:
             assert resolve_shards(net) is None

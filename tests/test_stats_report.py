@@ -1,69 +1,13 @@
-"""Tests for experiment statistics and report generation."""
+"""Tests for experiment report generation."""
 
 import pytest
 
 from repro.experiments import (
-    Summary,
     build_report,
-    ratio_of_means,
-    significantly_greater,
-    summarize,
     table_to_markdown,
     write_report,
 )
 from repro.experiments.tables import Table
-
-
-class TestSummarize:
-    def test_basic(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s.n == 3
-        assert s.mean == pytest.approx(2.0)
-        assert s.minimum == 1.0 and s.maximum == 3.0
-        assert s.ci_low < s.mean < s.ci_high
-
-    def test_single_value(self):
-        s = summarize([5.0])
-        assert s.std == 0.0
-        assert s.ci_low == s.ci_high == 5.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_ci_shrinks_with_n(self):
-        wide = summarize([0, 10] * 2)
-        narrow = summarize([0, 10] * 20)
-        assert (narrow.ci_high - narrow.ci_low) < (wide.ci_high - wide.ci_low)
-
-    def test_str(self):
-        assert "±" in str(summarize([1.0, 2.0]))
-
-
-class TestSignificance:
-    def test_clear_separation(self):
-        a = [10.0, 10.1, 9.9, 10.2, 9.8]
-        b = [1.0, 1.1, 0.9, 1.2, 0.8]
-        assert significantly_greater(a, b)
-        assert not significantly_greater(b, a)
-
-    def test_identical_not_significant(self):
-        a = [5.0, 5.1, 4.9, 5.0]
-        assert not significantly_greater(a, list(a))
-
-    def test_tiny_samples_fall_back(self):
-        assert significantly_greater([2.0], [1.0])
-
-
-class TestRatioOfMeans:
-    def test_basic(self):
-        assert ratio_of_means([2, 4], [1, 1]) == 3.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ratio_of_means([1], [1, 2])
-        with pytest.raises(ValueError):
-            ratio_of_means([1], [0])
 
 
 class TestReport:

@@ -34,6 +34,7 @@ from repro.stream import (
     replay_switch,
     save_updates,
 )
+from repro.stream import service as service_module
 from repro.switchsim import SwitchUpdateStream
 
 
@@ -546,10 +547,11 @@ class TestUnifiedAPI:
 
 
 class TestRecomputeEscalation:
-    def test_large_batch_escalates(self):
+    def test_large_batch_escalates(self, monkeypatch):
+        monkeypatch.setattr(service_module, "RECOMPUTE_MIN_SEEDS", 4)
+        monkeypatch.setattr(service_module, "RECOMPUTE_FRACTION", 0.2)
         g = gnp(24, 0.15, rng=6)
-        svc = MatchingService(g, k=2, seed=5,
-                              recompute_min_seeds=4, recompute_fraction=0.2)
+        svc = MatchingService(g, k=2, seed=5)
         # churn enough edges that the coalesced seed set crosses the bar
         updates = random_churn(g, 60, seed=7, insert_fraction=0.8)
         svc.apply(updates)
@@ -561,11 +563,12 @@ class TestRecomputeEscalation:
         optimum = max_cardinality(svc.graph).size
         assert svc.matching.size >= svc.guarantee * optimum - 1e-9
 
-    def test_recompute_events_flow_to_service_bus(self):
+    def test_recompute_events_flow_to_service_bus(self, monkeypatch):
+        monkeypatch.setattr(service_module, "RECOMPUTE_MIN_SEEDS", 2)
+        monkeypatch.setattr(service_module, "RECOMPUTE_FRACTION", 0.1)
         events = []
         g = gnp(20, 0.2, rng=8)
-        svc = MatchingService(g, k=2, observe=events.append,
-                              recompute_min_seeds=2, recompute_fraction=0.1)
+        svc = MatchingService(g, k=2, observe=events.append)
         svc.apply(random_churn(g, 40, seed=9, insert_fraction=0.8))
         svc.commit()
         repairs = [e for e in events if isinstance(e, Repair)]
