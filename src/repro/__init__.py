@@ -97,7 +97,7 @@ from .graphs import BipartiteGraph, Graph
 from .matching import Matching
 from .stream import EdgeUpdate, MatchingService, StreamResult
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "ALGORITHMS",

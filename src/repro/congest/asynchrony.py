@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..graphs.graph import Graph
+from ..observe.events import Observable
 from .message import payload_bits
 from .network import NodeFactory, ProtocolError
 from .node import BROADCAST, NodeAlgorithm, NodeContext
@@ -299,7 +300,7 @@ class AsyncNetwork:
         )
 
 
-class SynchronizedNetwork:
+class SynchronizedNetwork(Observable):
     """A drop-in :class:`~repro.congest.network.Network` replacement that
     executes every protocol over the asynchronous engine.
 
@@ -310,6 +311,8 @@ class SynchronizedNetwork:
     per-round inboxes exactly.  Rounds recorded in :attr:`metrics` are the
     synchronizer's logical rounds; the asynchronous costs (virtual time and
     pulse envelopes) accumulate in :attr:`virtual_time` / :attr:`envelopes`.
+    The asynchronous engine emits no events, so the inherited ``bus`` stays
+    None and drivers see an executor that is never observed.
     """
 
     def __init__(self, graph: Graph, delay_model: Optional[DelayModel] = None,
@@ -321,7 +324,6 @@ class SynchronizedNetwork:
         self.metrics = Metrics()
         self.virtual_time = 0.0
         self.envelopes = 0
-        self.bus = None  # the asynchronous engine does not emit events (yet)
         self._inner = AsyncNetwork(graph, delay_model, seed=seed)
 
     @property
@@ -355,13 +357,3 @@ class SynchronizedNetwork:
 
     def global_check(self) -> None:
         self.metrics.record_global_check()
-
-    # observability surface of the Network duck type: always unobserved
-    def wants(self, kind: Any) -> bool:
-        return False
-
-    def emit(self, event: Any) -> None:
-        pass
-
-    def observer_for(self, kind: Any) -> None:
-        return None

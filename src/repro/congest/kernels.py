@@ -10,10 +10,13 @@ NodeAlgorithm` objects with dict inboxes/outboxes.
 A protocol opts in by registering a :class:`RoundKernel` for its node class
 (:func:`register_kernel`); :meth:`Network.run <repro.congest.network.
 Network.run>` then selects the kernel automatically whenever nothing forces
-the per-node path.  The kernel fast path is **golden-equivalent** to per-node
-dispatch — identical outputs, round counts, :class:`~repro.runtime.metrics.
-Metrics`, per-node random streams, and structural event stream
-(``RoundStart``/``RoundEnd``), enforced by ``tests/test_kernels.py``.  The
+the per-node path.  A kernel is a *stepper*: it advances whole rounds when
+the engine's one loop asks it to, and that loop — not the kernel — owns
+termination, quiescence, the round limit, ``RoundStart``/``RoundEnd`` and
+the per-round metric record.  The kernel fast path is **golden-equivalent**
+to per-node dispatch — identical outputs, round counts,
+:class:`~repro.runtime.metrics.Metrics`, per-node random streams, and
+structural event stream, enforced by ``tests/test_kernels.py``.  The
 per-node path remains the executable specification; kernels are an
 optimization, never a semantic fork.
 
@@ -59,8 +62,7 @@ try:  # numpy is an optional accelerator, never a requirement
 except Exception:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
 
-from ..observe.events import ROUND_END, ROUND_START, RoundEnd, RoundStart
-from .network import Network, ProtocolError, RunResult
+from .network import Network
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +344,20 @@ class ShardContext:
 
 
 # ---------------------------------------------------------------------------
-# the kernel base class: the engine loop, replayed over arrays
+# the kernel base class: one protocol's rounds over arrays
 # ---------------------------------------------------------------------------
 
 class RoundKernel:
     """One protocol's vectorized superstep executor.
 
-    Subclasses implement four hooks against packed array state:
+    Subclasses implement the stepper hooks against packed array state:
 
     * :meth:`setup` — read ``shared``, pack the initial state, perform the
       per-node path's ``start()`` semantics (including any halts and the
       initial traffic);
     * :meth:`unfinished` — True while any node has not halted;
-    * :meth:`pending` — True while traffic is in flight (consulted for the
-      quiescence rule only when :attr:`passive` is True);
+    * :meth:`pending` — True while traffic is in flight (it ends a run
+      only together with :attr:`passive`);
     * :meth:`step` — execute one full round: price and account the pending
       traffic (via :meth:`charge` and :meth:`record_traffic`), apply it to
       the state arrays, compute every live node's transition, and stage the
@@ -364,11 +366,11 @@ class RoundKernel:
       ``_deliver``;
     * :meth:`outputs` — the final per-node output register map.
 
-    :meth:`execute` replays ``Network.run``'s loop — the same termination
-    and quiescence rules, the same ``ProtocolError`` on the round limit,
-    the same ``RoundStart``/``RoundEnd`` emission points and payloads, and
-    the same metric recording — which is what keeps the fast path
-    observationally identical to per-node dispatch.
+    ``Network.run`` drives these hooks with the same loop that drives
+    per-node dispatch (``Network._drive``), so the termination and
+    quiescence rules, the ``ProtocolError`` on the round limit, the
+    ``RoundStart``/``RoundEnd`` events and the metric recording cannot
+    drift between the tiers.
     """
 
     #: the node class this kernel replaces (set by :func:`register_kernel`)
@@ -521,49 +523,3 @@ class RoundKernel:
         """Final output registers for *owned* nodes, keyed by global id
         (the coordinator merges the workers' maps)."""
         raise NotImplementedError
-
-    # -- the replayed engine loop ----------------------------------------
-    def execute(self, protocol: str, shared: Dict[str, Any], limit: int,
-                on_round_end: Optional[Callable[[int, Network], None]],
-                ) -> RunResult:
-        net = self.net
-        self.setup(shared)
-        bus = net.bus
-        metrics = net.metrics
-        rounds = 0
-        while True:
-            if not self.unfinished():
-                break
-            if self.passive and rounds > 0 and not self.pending():
-                break  # quiescent: nothing in flight, nobody will speak
-            if rounds >= limit:
-                raise ProtocolError(
-                    f"protocol {protocol!r} exceeded {limit} rounds "
-                    f"(likely a livelock)"
-                )
-            want_round_end = False
-            if bus is not None:
-                if bus.wants(ROUND_START):
-                    bus.emit(RoundStart(protocol=protocol, round=rounds + 1))
-                want_round_end = bus.wants(ROUND_END)
-                if want_round_end:
-                    msgs_before = metrics.messages
-                    bits_before = metrics.total_bits
-                    dropped_before = net.dropped
-            extra = self.step(rounds + 1)
-            rounds += 1
-            metrics.record_round(protocol, extra)
-            if want_round_end:
-                bus.emit(RoundEnd(
-                    protocol=protocol, round=rounds,
-                    messages=metrics.messages - msgs_before,
-                    bits=metrics.total_bits - bits_before,
-                    dropped=net.dropped - dropped_before,
-                ))
-            if on_round_end is not None:
-                on_round_end(rounds, net)
-        return RunResult(
-            outputs=self.outputs(),
-            rounds=rounds,
-            all_finished=not self.unfinished(),
-        )

@@ -9,6 +9,10 @@ termination (all nodes halted) or quiescence (no traffic and nobody spoke).
 Composite algorithms run several *protocols* on one persistent network; the
 metrics accumulate so composite costs are the true totals.
 
+Every tier — per-node dispatch, the kernels, the shard pool — runs through
+one round loop, :meth:`Network._drive`, which owns the round contract; a
+tier only supplies the *stepper* that advances whole rounds.
+
 Two delivery engines share one contract:
 
 * the batched CSR engine (every tier but ``legacy``) — delivery over a
@@ -31,12 +35,11 @@ per-node reference the kernel goldens compare against.
 
 Observability rides the :class:`~repro.observe.events.EventBus`
 (``observe=``): **both** engines emit the same structured events — attaching
-an observer never changes the engine, and dispatch is always-fast.  The
-engines ask ``bus.wants(kind)`` once per round, so a network with no
-subscribers (or none interested in the per-message stream) pays one
-dictionary lookup per round, never per-message work.  Fault injection is a
-constructor argument too (``faults=FaultSpec(loss=0.05)``), so lossy links
-compose with any engine and any observer.
+an observer never changes the engine, and dispatch is always-fast.  The engines ask ``bus.wants(kind)`` once per round, so a
+network with no subscribers (or none interested in the per-message stream)
+pays one dictionary lookup per round, never per-message work.  Fault
+injection is a constructor argument too (``faults=FaultSpec(loss=0.05)``),
+so lossy links compose with any engine and any observer.
 
 The graph is snapshotted at :class:`Network` construction (neighbor caches
 and the CSR layout); mutating the graph afterwards is not supported.
@@ -54,12 +57,12 @@ from ..observe.events import (
     MESSAGE_DELIVERED,
     ROUND_END,
     ROUND_START,
-    Event,
     EventBus,
     MessageDelivered,
+    Observable,
     RoundEnd,
     RoundStart,
-    ambient_bus,
+    resolve_bus,
 )
 from .message import payload_bits, payload_bits_fast
 from ..runtime.metrics import Metrics
@@ -134,7 +137,7 @@ class RunResult:
         return self.outputs[node]
 
 
-class Network:
+class Network(Observable):
     """A simulated synchronous network over a :class:`Graph`.
 
     ``execution`` selects how protocols run: an
@@ -153,8 +156,10 @@ class Network:
     observer, or a list of observers (each subscribed with its own
     interest mask — see :mod:`repro.observe.events`); a
     :class:`~repro.observe.tracing.Tracer` is attached as
-    ``observe=[tracer]``.  Attaching an observer never changes the
-    engine.  ``faults`` injects link faults (:class:`FaultSpec`).
+    ``observe=[tracer]``; drivers publish through the inherited
+    :class:`~repro.observe.events.Observable` surface.  Attaching an
+    observer never changes the engine.  ``faults`` injects link faults
+    (:class:`FaultSpec`).
     """
 
     def __init__(self, graph: Graph, policy: BandwidthPolicy = CONGEST,
@@ -191,18 +196,7 @@ class Network:
 
         # observability: explicit observe= wins, else the ambient bus of an
         # enclosing `observing(...)` context, else nothing
-        self.bus: Optional[EventBus] = None
-        if observe is not None:
-            if isinstance(observe, EventBus):
-                self.bus = observe
-            else:
-                self.bus = EventBus()
-                observers = (observe if isinstance(observe, (list, tuple))
-                             else (observe,))
-                for observer in observers:
-                    self.bus.subscribe(observer)
-        else:
-            self.bus = ambient_bus()
+        self.bus = resolve_bus(observe)
 
         # fault injection: a constructor argument, so it composes with any
         # engine and any observer
@@ -290,7 +284,6 @@ class Network:
             max_rounds = self.default_max_rounds
         limit = max_rounds if max_rounds is not None else DEFAULT_MAX_ROUNDS
         shared = dict(shared or {})
-        n = self.graph.num_nodes
         before = self.metrics.snapshot()
         # never recycle a previous run's delivered boxes into this run —
         # its results may still reference them
@@ -298,98 +291,68 @@ class Network:
         self._live_boxes = []
 
         decision = resolve_execution(self, factory, shared)
-        if decision.tier in ("sharded-kernel", "kernel"):
-            if decision.tier == "sharded-kernel":
-                executor = self._sharded_executor(decision.shards)
-                result = executor.execute(decision.kernel_cls, protocol,
-                                          shared, limit, on_round_end)
-            else:
-                result = decision.kernel.execute(protocol, shared, limit,
-                                                 on_round_end)
-            result.metrics = self.metrics.delta_since(before)
-            return self._attach_profile(result)
+        if decision.tier == "sharded-kernel":
+            executor = self._sharded_executor(decision.shards)
+            result = executor.execute(decision.kernel_cls, protocol, shared,
+                                      limit, on_round_end)
+        else:
+            stepper = decision.kernel or _NodeStepper(self, factory,
+                                                      protocol)
+            result = self._drive(stepper, protocol, shared, limit,
+                                 on_round_end)
+        result.metrics = self.metrics.delta_since(before)
+        return self._attach_profile(result)
 
-        algorithms: Dict[int, NodeAlgorithm] = {}
-        for v in self._order:
-            ctx = NodeContext(
-                node_id=v,
-                neighbors=self._neighbor_cache[v],
-                edge_weights=self._weight_cache[v],
-                n=n,
-                rng=self.node_rng(v),
-                shared=shared,
-            )
-            algorithms[v] = factory(ctx)
+    def _drive(self, stepper: Any, protocol: str, shared: Dict[str, Any],
+               limit: int, on_round_end: Optional[RoundHook]) -> RunResult:
+        """The engine loop: run ``stepper`` to termination or quiescence.
 
-        outboxes: Dict[int, Dict[Any, Any]] = {}
-        unfinished: List[int] = []
-        for v in self._order:
-            alg = algorithms[v]
-            out = alg.start()
-            if out:
-                outboxes[v] = out
-            if not alg.finished:
-                unfinished.append(v)
-
+        A stepper (:class:`_NodeStepper`, a ``RoundKernel`` or a
+        ``ShardedNetwork`` pool) supplies ``setup(shared)``,
+        ``unfinished()``, ``pending()``, ``passive``, ``step(round)`` —
+        deliver and account one round, compute every live node, return
+        the pipelining charge — and ``outputs()``.  The loop owns halting,
+        quiescence, the round limit, ``RoundStart``/``RoundEnd`` and the
+        round's metric record, made after ``step`` returns: a round that
+        raises is not counted, though its delivered traffic is.
+        """
+        stepper.setup(shared)
         bus = self.bus
-        rounds_this_run = 0
-        while True:
-            if not unfinished:
-                break
-            if (not outboxes and rounds_this_run > 0
-                    and all(algorithms[v].passive for v in unfinished)):
+        metrics = self.metrics
+        rounds = 0
+        while stepper.unfinished():
+            if rounds > 0 and not stepper.pending() and stepper.passive:
                 # quiescent: nothing in flight and every live node is purely
                 # event-driven, so nothing will ever move again
                 break
-            if rounds_this_run >= limit:
+            if rounds >= limit:
                 raise ProtocolError(
                     f"protocol {protocol!r} exceeded {limit} rounds "
                     f"(likely a livelock)"
                 )
-
             want_round_end = False
             if bus is not None:
                 if bus.wants(ROUND_START):
-                    bus.emit(RoundStart(protocol=protocol,
-                                        round=rounds_this_run + 1))
+                    bus.emit(RoundStart(protocol=protocol, round=rounds + 1))
                 want_round_end = bus.wants(ROUND_END)
                 if want_round_end:
-                    msgs_before = self.metrics.messages
-                    bits_before = self.metrics.total_bits
+                    msgs_before = metrics.messages
+                    bits_before = metrics.total_bits
                     dropped_before = self.dropped
-
-            inboxes, extra = self._deliver(outboxes, n, protocol,
-                                           rounds_this_run + 1)
-            rounds_this_run += 1
-            self.metrics.record_round(protocol, extra)
-
-            outboxes.clear()  # fully consumed by _deliver; reuse the dict
-            still_active: List[int] = []
-            for v in unfinished:
-                alg = algorithms[v]
-                out = alg.on_round(inboxes.get(v, _EMPTY_INBOX))
-                if out:
-                    outboxes[v] = out
-                if not alg.finished:
-                    still_active.append(v)
-            unfinished = still_active
+            extra = stepper.step(rounds + 1)
+            rounds += 1
+            metrics.record_round(protocol, extra)
             if want_round_end:
                 bus.emit(RoundEnd(
-                    protocol=protocol, round=rounds_this_run,
-                    messages=self.metrics.messages - msgs_before,
-                    bits=self.metrics.total_bits - bits_before,
+                    protocol=protocol, round=rounds,
+                    messages=metrics.messages - msgs_before,
+                    bits=metrics.total_bits - bits_before,
                     dropped=self.dropped - dropped_before,
                 ))
             if on_round_end is not None:
-                on_round_end(rounds_this_run, self)
-
-        result = RunResult(
-            outputs={v: algorithms[v].output for v in self._order},
-            rounds=rounds_this_run,
-            all_finished=not unfinished,
-            metrics=self.metrics.delta_since(before),
-        )
-        return self._attach_profile(result)
+                on_round_end(rounds, self)
+        return RunResult(outputs=stepper.outputs(), rounds=rounds,
+                         all_finished=not stepper.unfinished())
 
     def _attach_profile(self, result: RunResult) -> RunResult:
         """Snapshot a subscribed Profiler's report onto ``result``."""
@@ -454,32 +417,6 @@ class Network:
         from ..runtime.driver import Subnetwork
 
         return Subnetwork(self, graph, **kwargs)
-
-    # ------------------------------------------------------------------
-    # driver-side observability helpers
-    def wants(self, kind: Any) -> bool:
-        """True iff an observer is interested in ``kind`` (False when
-        unobserved) — drivers guard expensive event construction with it."""
-        bus = self.bus
-        return bus is not None and bus.wants(kind)
-
-    def emit(self, event: Event) -> None:
-        """Publish a driver-level event on the bus (no-op when unobserved)."""
-        bus = self.bus
-        if bus is not None:
-            bus.emit(event)
-
-    def observer_for(self, kind: Any):
-        """``bus.emit`` when someone is interested in ``kind``, else None.
-
-        The hook for instrumentation inside node programs: drivers thread
-        the returned callable through ``shared`` only when an observer is
-        actually listening, so unobserved runs carry no closure at all.
-        """
-        bus = self.bus
-        if bus is not None and bus.wants(kind):
-            return bus.emit
-        return None
 
     # ------------------------------------------------------------------
     def _deliver(self, outboxes: Dict[int, Dict[Any, Any]], n: int,
@@ -704,3 +641,71 @@ class Network:
     def global_check(self) -> None:
         """Record a driver-level global predicate evaluation (see Metrics)."""
         self.metrics.record_global_check()
+
+
+class _NodeStepper:
+    """Per-node dispatch as a stepper of :meth:`Network._drive`: one
+    :class:`NodeAlgorithm` per node, each round delivered by
+    :meth:`Network._deliver` — the executable specification every
+    kernel is golden-checked against."""
+
+    def __init__(self, net: Network, factory: NodeFactory,
+                 protocol: str) -> None:
+        self.net = net
+        self.factory = factory
+        self.protocol = protocol
+        self.n = net.graph.num_nodes
+
+    def setup(self, shared: Dict[str, Any]) -> None:
+        net = self.net
+        self.algorithms: Dict[int, NodeAlgorithm] = {}
+        for v in net._order:
+            self.algorithms[v] = self.factory(NodeContext(
+                node_id=v,
+                neighbors=net._neighbor_cache[v],
+                edge_weights=net._weight_cache[v],
+                n=self.n,
+                rng=net.node_rng(v),
+                shared=shared,
+            ))
+        self.outboxes: Dict[int, Dict[Any, Any]] = {}
+        self.live: List[int] = []
+        for v in net._order:
+            alg = self.algorithms[v]
+            out = alg.start()
+            if out:
+                self.outboxes[v] = out
+            if not alg.finished:
+                self.live.append(v)
+
+    def unfinished(self) -> bool:
+        return bool(self.live)
+
+    def pending(self) -> bool:
+        return bool(self.outboxes)
+
+    @property
+    def passive(self) -> bool:
+        algorithms = self.algorithms
+        return all(algorithms[v].passive for v in self.live)
+
+    def step(self, round_number: int) -> int:
+        outboxes = self.outboxes
+        inboxes, extra = self.net._deliver(outboxes, self.n, self.protocol,
+                                           round_number)
+        outboxes.clear()  # fully consumed by _deliver; reuse the dict
+        algorithms = self.algorithms
+        live: List[int] = []
+        for v in self.live:
+            alg = algorithms[v]
+            out = alg.on_round(inboxes.get(v, _EMPTY_INBOX))
+            if out:
+                outboxes[v] = out
+            if not alg.finished:
+                live.append(v)
+        self.live = live
+        return extra
+
+    def outputs(self) -> Dict[int, Any]:
+        algorithms = self.algorithms
+        return {v: algorithms[v].output for v in self.net._order}

@@ -27,9 +27,10 @@ The executor is **golden-equivalent** to the single-process engine:
 identical outputs, round counts, :class:`~repro.runtime.metrics.Metrics`
 (physical account), per-node random streams, structural event stream
 (``RoundStart``/``RoundEnd``) and error behavior, enforced by
-``tests/test_sharding.py``.  The coordinator replays ``Network.run``'s
-loop — the same termination, quiescence and round-limit rules, the same
-metric recording points, the same event emission points.
+``tests/test_sharding.py``.  The coordinator is a stepper of the
+engine's one loop (``Network._drive``), so termination, quiescence, the
+round limit, metric recording and event emission are the loop's, not a
+copy of it.
 
 Coordination protocol (one reusable cyclic barrier, ``k + 1`` parties)::
 
@@ -435,7 +436,7 @@ class _ShardWorker:
                             shared: Dict[str, Any],
                             run_counter: int) -> None:
         """Serve one run of ``kernel_cls``'s sharded fast path, barrier
-        for barrier with the coordinator's replayed engine loop."""
+        for barrier with the coordinator's stepper hooks."""
         timeout = self.spec.timeout
         error: Optional[Tuple[int, int, BaseException]] = None
         ctx = self._kernel_context()
@@ -758,9 +759,13 @@ class ShardedNetwork:
 
     Owns a persistent pool of ``k`` worker processes (forked when the
     platform supports it), the control/stats shared-memory block, and
-    the partition.  :meth:`execute` runs one protocol with the engine
-    loop's exact semantics; the pool is reused across runs until
-    :meth:`close` (called by ``Network.close()`` and by a GC finalizer).
+    the partition.  :meth:`execute` runs one protocol: the pool is a
+    stepper of the network's own engine loop (``Network._drive``) —
+    :meth:`setup` dispatches the run, :meth:`step` runs one round's
+    barriers, :meth:`unfinished`/:meth:`pending`/:attr:`passive` read the
+    workers' stats rows, and :meth:`outputs` gathers the results.  The
+    pool is reused across runs until :meth:`close` (called by
+    ``Network.close()`` and by a GC finalizer).
     """
 
     def __init__(self, net: Any, shards: int,
@@ -776,6 +781,9 @@ class ShardedNetwork:
         self.broken = False
         self._closed = False
         self._run_state = "idle"
+        self._kernel_cls: Any = None
+        #: the workers' stats rows after B0 or B3 of the current run
+        self._rows: List[List[int]] = []
         base = "rs" + uuid.uuid4().hex[:12]
         try:
             ctx = mp.get_context("fork")
@@ -864,13 +872,14 @@ class ShardedNetwork:
     def _recover_after_error(self) -> None:
         """Leave no run in flight once an exception escapes :meth:`execute`.
 
-        The engine-equivalent abort paths finish their handshake before
-        raising (run state back to "idle"), and barrier failures already
-        break and close the pool.  Anything else — an ``on_round_end``
-        hook or event subscriber raising, a pickling failure during run
-        dispatch, a ``KeyboardInterrupt`` — would otherwise leave the
-        workers parked mid-protocol, and the next run on the cached pool
-        would silently resume the aborted protocol with wrong outputs.
+        Worker-reported errors finish their handshake before raising (run
+        state back to "idle"), and barrier failures already break and
+        close the pool.  Anything else — the engine loop's round-limit
+        ``ProtocolError``, an ``on_round_end`` hook or event subscriber
+        raising, a pickling failure during run dispatch, a
+        ``KeyboardInterrupt`` — would otherwise leave the workers parked
+        mid-protocol, and the next run on the cached pool would silently
+        resume the aborted protocol with wrong outputs.
         Workers parked at the command barrier are released with a clean
         ABORT handshake (the pool stays reusable); in any other state the
         pool is broken and closed so the next run builds a fresh one.
@@ -933,97 +942,77 @@ class ShardedNetwork:
         except Exception:  # pragma: no cover - exotic signature
             return ShardingError(f"{typename}: {message}")
 
-    # -- the replayed engine loop ----------------------------------------
+    # -- one run: Network._drive steps the pool --------------------------
     def execute(self, kernel_cls: Any, protocol: str,
                 shared: Dict[str, Any], limit: int,
                 on_round_end: Optional[Callable[[int, Any], None]]) -> Any:
         """Run one protocol across the shard pool, engine-identically:
         every worker serves ``kernel_cls``'s sharded fast path
-        (:meth:`_ShardWorker.run_kernel_protocol`)."""
+        (:meth:`_ShardWorker.run_kernel_protocol`), and the engine loop
+        (``Network._drive``) steps the pool like any other stepper."""
         if self.broken or self._closed:
             raise ShardingError("sharded executor is closed")
         self.net.metrics.record_shard_run(self.partition.cut_edges,
                                           self.partition.imbalance)
+        self._kernel_cls = kernel_cls
         try:
-            return self._execute_dispatched(kernel_cls, protocol, shared,
-                                            limit, on_round_end)
+            return self.net._drive(self, protocol, shared, limit,
+                                   on_round_end)
         except BaseException:
             self._recover_after_error()
             raise
 
-    def _execute_dispatched(self, kernel_cls: Any, protocol: str,
-                            shared: Dict[str, Any], limit: int,
-                            on_round_end: Optional[Callable[[int, Any],
-                                                            None]]) -> Any:
-        from ..observe.events import ROUND_END, ROUND_START, RoundEnd, RoundStart
-        from .network import ProtocolError, RunResult
-
-        net = self.net
-        metrics = net.metrics
+    def setup(self, shared: Dict[str, Any]) -> None:
+        """Dispatch the run, wait for every worker's setup (B0) and raise
+        the first setup error."""
         self._run_state = "dispatch"
         for conn in self._conns:
-            conn.send(("run", kernel_cls, shared, net._run_counter))
+            conn.send(("run", self._kernel_cls, shared,
+                       self.net._run_counter))
         self._run_state = "running"
         self._wait()  # B0: workers set up, flags readable
-        rows = [self._stats_row(w) for w in range(self.k)]
-        bus = net.bus
-        rounds = 0
-        while True:
-            error = self._first_error(rows)
-            if error is not None:  # only setup errors exist before round 1
-                self._raise_run_error(error)
-            any_unfinished = any(r[_S_ANY_UNFINISHED] for r in rows)
-            if not any_unfinished:
-                break
-            if (rounds > 0 and not any(r[_S_ANY_OUT] for r in rows)
-                    and all(r[_S_ALL_PASSIVE] for r in rows)):
-                break  # quiescent: nothing in flight, nobody will speak
-            if rounds >= limit:
-                self._abort_run()
-                raise ProtocolError(
-                    f"protocol {protocol!r} exceeded {limit} rounds "
-                    f"(likely a livelock)")
-            want_round_end = False
-            if bus is not None:
-                if bus.wants(ROUND_START):
-                    bus.emit(RoundStart(protocol=protocol, round=rounds + 1))
-                want_round_end = bus.wants(ROUND_END)
-                if want_round_end:
-                    msgs_before = metrics.messages
-                    bits_before = metrics.total_bits
-                    dropped_before = net.dropped
-            self._command(_CMD_CONTINUE)  # B1
-            self._wait()  # B2: halos published
-            self._wait()  # B3: stats rows written
-            rows = [self._stats_row(w) for w in range(self.k)]
-            error = self._first_error(rows)
-            if error is not None and error[0] == _PHASE_PUBLISH:
-                # the in-process kernel records nothing for a pricing
-                # error (the traffic fold and record_round are never
-                # reached)
-                self._raise_run_error(error)
-            metrics.record_message_batch(
-                sum(r[_S_MESSAGES] for r in rows),
-                sum(r[_S_BITS] for r in rows),
-                max(r[_S_MAX_BITS] for r in rows))
-            metrics.record_halo_bits(sum(r[_S_HALO_BITS] for r in rows),
-                                     sum(r[_S_HALO_RECORDS] for r in rows))
-            if error is not None:
-                # apply-phase error: the in-process kernel raises out of
-                # step() after the traffic fold but before the round is
-                # counted — record traffic only
-                self._raise_run_error(error)
-            rounds += 1
-            metrics.record_round(protocol,
-                                 max(r[_S_EXTRA] for r in rows))
-            if want_round_end:
-                bus.emit(RoundEnd(
-                    protocol=protocol, round=rounds,
-                    messages=metrics.messages - msgs_before,
-                    bits=metrics.total_bits - bits_before,
-                    dropped=net.dropped - dropped_before))
-            if on_round_end is not None:
-                on_round_end(rounds, net)
+        self._rows = [self._stats_row(w) for w in range(self.k)]
+        error = self._first_error(self._rows)
+        if error is not None:
+            self._raise_run_error(error)
+
+    def unfinished(self) -> bool:
+        return any(r[_S_ANY_UNFINISHED] for r in self._rows)
+
+    def pending(self) -> bool:
+        return any(r[_S_ANY_OUT] for r in self._rows)
+
+    @property
+    def passive(self) -> bool:
+        return all(r[_S_ALL_PASSIVE] for r in self._rows)
+
+    def step(self, round_number: int) -> int:
+        """One round across the pool (B1-B3), accounted exactly as the
+        in-process kernel accounts it."""
+        self._command(_CMD_CONTINUE)  # B1
+        self._wait()  # B2: halos published
+        self._wait()  # B3: stats rows written
+        rows = self._rows = [self._stats_row(w) for w in range(self.k)]
+        error = self._first_error(rows)
+        if error is not None and error[0] == _PHASE_PUBLISH:
+            # the in-process kernel records nothing for a pricing error
+            # (the traffic fold and record_round are never reached)
+            self._raise_run_error(error)
+        metrics = self.net.metrics
+        metrics.record_message_batch(
+            sum(r[_S_MESSAGES] for r in rows),
+            sum(r[_S_BITS] for r in rows),
+            max(r[_S_MAX_BITS] for r in rows))
+        metrics.record_halo_bits(sum(r[_S_HALO_BITS] for r in rows),
+                                 sum(r[_S_HALO_RECORDS] for r in rows))
+        if error is not None:
+            # apply-phase error: the in-process kernel raises out of step()
+            # after the traffic fold, so the loop never counts the round
+            self._raise_run_error(error)
+        return max(r[_S_EXTRA] for r in rows)
+
+    def outputs(self) -> Dict[int, Any]:
+        """Finish the run and gather the workers' output registers."""
         self._command(_CMD_FINISH)
         self._run_state = "gather"
         merged: Dict[int, Any] = {}
@@ -1037,9 +1026,7 @@ class ShardedNetwork:
                                     "gather") from exc
             merged.update(msg[1])
         self._run_state = "idle"
-        outputs = {v: merged[v] for v in net._order}
-        return RunResult(outputs=outputs, rounds=rounds,
-                         all_finished=not any_unfinished)
+        return {v: merged[v] for v in self.net._order}
 
     def close(self) -> None:
         """Shut the pool down and release every shared-memory block."""

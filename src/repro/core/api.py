@@ -57,8 +57,7 @@ from typing import Any, Callable, Optional, Union
 from ..congest.network import Network
 from ..congest.policies import CONGEST, LOCAL, PIPELINE, BandwidthPolicy
 from ..observe.profiling import ObservabilityScope, Profiler
-from ..graphs.graph import BipartiteGraph, Graph
-from ..matching.core import Matching
+from ..graphs.graph import Graph
 from ..matching.sequential.blossom import max_cardinality
 from ..matching.sequential.hungarian import max_weight_bipartite
 from ..matching.verify import certify
@@ -69,13 +68,6 @@ from ..dist.israeli_itai import israeli_itai
 from ..dist.weighted.algorithm5 import approximate_mwm
 from ..dist.weighted.hv_local import hv_mwm
 from .results import MatchingResult
-
-
-def _bipartition(graph: Graph):
-    """``(left, right)`` of a bipartite graph, else ``None``."""
-    if isinstance(graph, BipartiteGraph):
-        return graph.left, graph.right
-    return graph.bipartition()
 
 
 def eps_to_k(eps: float) -> int:
@@ -113,7 +105,7 @@ def approx_mcm(graph: Graph, *, eps: float = 0.25,
     elif k < 1:
         raise ValueError("k must be at least 1")
     obs = ObservabilityScope(observe, trace, profile)
-    split, proven = _bipartition(graph), False
+    split, proven = graph.bipartition(), False
     if model == "local":
         net = Network(graph, policy=policy or LOCAL, seed=seed,
                       max_rounds=max_rounds, observe=obs.observe,

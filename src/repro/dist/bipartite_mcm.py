@@ -24,7 +24,7 @@ from ..observe.events import Augmentation
 from ..congest.network import Network
 from ..congest.policies import PIPELINE, BandwidthPolicy
 from ..runtime import PhaseDriver, ProtocolResult
-from ..graphs.graph import BipartiteGraph, Edge, Graph, GraphError
+from ..graphs.graph import Edge, Graph, GraphError
 from ..matching.core import Matching
 from .bipartite_counting import X_SIDE, Y_SIDE, leaders_of, run_counting
 from .token_mis import run_token_selection
@@ -126,13 +126,10 @@ class BipartiteMCMResult(ProtocolResult):
 
 def side_map_of(graph: Graph) -> SideMap:
     """X/Y side assignment for a bipartite graph (left = X, right = Y)."""
-    if isinstance(graph, BipartiteGraph):
-        left, right = set(graph.left), set(graph.right)
-    else:
-        split = graph.bipartition()
-        if split is None:
-            raise GraphError("graph is not bipartite; use general_mcm instead")
-        left, right = split
+    split = graph.bipartition()
+    if split is None:
+        raise GraphError("graph is not bipartite; use general_mcm instead")
+    left = split[0]
     side: SideMap = {}
     for v in graph.nodes:
         side[v] = X_SIDE if v in left else Y_SIDE

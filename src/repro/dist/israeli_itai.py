@@ -368,7 +368,7 @@ class IsraeliItaiKernel(RoundKernel):
     def unfinished(self) -> bool:
         return len(self.live) > 0
 
-    def pending(self) -> bool:  # clock-driven protocol: never consulted
+    def pending(self) -> bool:  # clock-driven: passive is False
         return bool(self.proposals or self.accepts or self.newly)
 
     def outputs(self) -> Dict[int, Any]:

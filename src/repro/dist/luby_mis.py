@@ -507,7 +507,7 @@ class LubyMISKernel(RoundKernel):
     def unfinished(self) -> bool:
         return bool(self.live)
 
-    def pending(self) -> bool:  # clock-driven protocol: never consulted
+    def pending(self) -> bool:  # clock-driven: passive is False
         return bool(self.pending_draws or self.pending_Js
                     or self.pending_D_price)
 

@@ -423,6 +423,15 @@ class BipartiteGraph(Graph):
     def is_left(self, v: int) -> bool:
         return v in self._left
 
+    def bipartition(self) -> Tuple[Set[int], Set[int]]:
+        """The declared ``(left, right)`` split (never re-colored)."""
+        return set(self._left), set(self._right)
+
+    def remove_node(self, v: int) -> None:
+        super().remove_node(v)
+        self._left.discard(v)
+        self._right.discard(v)
+
     def copy(self) -> "BipartiteGraph":
         g = BipartiteGraph(self._left, self._right)
         for u, v, w in self.edges():

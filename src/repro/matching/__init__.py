@@ -2,13 +2,7 @@
 
 from .conflict import ConflictGraph, build_conflict_graph
 from .core import Matching, MatchingError, matching_from_edges
-from .cover import (
-    DualityCertificate,
-    duality_certificate,
-    greedy_vertex_cover,
-    is_vertex_cover,
-    koenig_cover,
-)
+from .cover import greedy_vertex_cover, is_vertex_cover, koenig_cover
 from .paths import (
     alternating_bfs,
     augment_all,
@@ -32,8 +26,6 @@ __all__ = [
     "build_conflict_graph",
     "Matching",
     "MatchingError",
-    "DualityCertificate",
-    "duality_certificate",
     "greedy_vertex_cover",
     "is_vertex_cover",
     "koenig_cover",

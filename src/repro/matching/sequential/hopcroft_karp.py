@@ -11,9 +11,9 @@ against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ...graphs.graph import BipartiteGraph, Graph, GraphError
+from ...graphs.graph import Graph, GraphError
 from ..core import Matching
 
 _INF = float("inf")
@@ -34,19 +34,12 @@ class HopcroftKarpResult:
     phases: List[PhaseTrace] = field(default_factory=list)
 
 
-def _sides(graph: Graph) -> Tuple[List[int], List[int]]:
-    if isinstance(graph, BipartiteGraph):
-        return graph.left, graph.right
+def hopcroft_karp(graph: Graph) -> HopcroftKarpResult:
+    """Maximum-cardinality matching via Hopcroft-Karp, with a phase trace."""
     split = graph.bipartition()
     if split is None:
         raise GraphError("Hopcroft-Karp requires a bipartite graph")
-    left, right = split
-    return sorted(left), sorted(right)
-
-
-def hopcroft_karp(graph: Graph) -> HopcroftKarpResult:
-    """Maximum-cardinality matching via Hopcroft-Karp, with a phase trace."""
-    left, right = _sides(graph)
+    left, right = sorted(split[0]), sorted(split[1])
     mate: Dict[int, Optional[int]] = {v: None for v in left + right}
     phases: List[PhaseTrace] = []
     size = 0

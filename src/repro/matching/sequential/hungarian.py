@@ -8,22 +8,10 @@ exact reference for weighted experiments on bipartite instances (T5, T9).
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from ...graphs.graph import BipartiteGraph, Graph, GraphError
+from ...graphs.graph import Graph, GraphError
 from ..core import Matching
 
 _INF = float("inf")
-
-
-def _sides(graph: Graph) -> Tuple[List[int], List[int]]:
-    if isinstance(graph, BipartiteGraph):
-        return graph.left, graph.right
-    split = graph.bipartition()
-    if split is None:
-        raise GraphError("the Hungarian algorithm requires a bipartite graph")
-    left, right = split
-    return sorted(left), sorted(right)
 
 
 def max_weight_bipartite(graph: Graph) -> Matching:
@@ -33,7 +21,10 @@ def max_weight_bipartite(graph: Graph) -> Matching:
     matrix; because pads cost 0 and true weights are positive, this is
     exactly the maximum-weight matching with unmatched nodes allowed.
     """
-    left, right = _sides(graph)
+    split = graph.bipartition()
+    if split is None:
+        raise GraphError("the Hungarian algorithm requires a bipartite graph")
+    left, right = sorted(split[0]), sorted(split[1])
     n = max(len(left), len(right))
     if n == 0 or graph.num_edges == 0:
         return Matching()

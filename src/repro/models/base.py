@@ -2,15 +2,14 @@
 
 The shared runtime (:mod:`repro.runtime`, :mod:`repro.observe`) is
 model-agnostic: :class:`~repro.runtime.driver.PhaseDriver` only needs an
-executor with ``.wants`` / ``.emit`` / ``.metrics``, and
+executor with ``.wants`` / ``.emit`` / ``.metrics`` (the
+:class:`~repro.observe.events.Observable` surface plus a ledger), and
 :class:`~repro.runtime.metrics.Metrics` ledgers costs without caring
-whether a "round" is a CONGEST message round or an MPC superstep.  What
+whether a "round" is a CONGEST message round or an MPC superstep — both
+land in ``Metrics.rounds``, so cross-model tables stay comparable.  What
 *does* differ between models is captured here, per
 :class:`ComputationModel`:
 
-* the **loop unit** the model charges per iteration (CONGEST rounds vs
-  MPC supersteps — both land in ``Metrics.rounds`` so cross-model tables
-  stay comparable, but the unit is named in explanations),
 * which **execution tiers** of :mod:`repro.models.execution` the model
   can run on — each model owns its *own* ladder (CONGEST
   ``sharded-kernel`` > ``kernel`` > ``node`` plus the pinned ``legacy``
@@ -20,8 +19,9 @@ whether a "round" is a CONGEST message round or an MPC superstep.  What
   which is what ``explain_execution()`` reports — reason chains always
   open by naming the model.
 
-Models register themselves in :data:`MODELS`; ``get_model("mpc")`` is
-how the CLI and API look them up.
+There are two models, :data:`CONGEST_MODEL` and :data:`MPC_MODEL`; each
+executor holds its own as ``executor.model``, and the CLI imports them
+directly.
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ from .execution import (
 )
 
 __all__ = [
-    "MODELS",
     "ComputationModel",
     "CongestModel",
     "MPCModel",
     "ModelExecutionError",
     "CONGEST_MODEL",
     "MPC_MODEL",
-    "get_model",
 ]
 
 
@@ -56,14 +54,12 @@ class ModelExecutionError(ValueError):
 class ComputationModel:
     """One computation model's contract with the shared runtime.
 
-    ``name`` identifies the model in reason chains and registries;
-    ``loop_unit`` names what one ``Metrics.record_round`` charge means
-    under this model; ``tiers`` lists the execution rungs the model can
-    resolve to (``"auto"`` is always accepted as a plan input).
+    ``name`` identifies the model in reason chains; ``tiers`` lists the
+    execution rungs the model can resolve to (``"auto"`` is always
+    accepted as a plan input).
     """
 
     name: str = "abstract"
-    loop_unit: str = "round"
     tiers: Tuple[str, ...] = ()
 
     def check_plan(self, plan: ExecutionPlan) -> None:
@@ -91,7 +87,6 @@ class CongestModel(ComputationModel):
     """Synchronous CONGEST message passing on the engine ladder."""
 
     name = "congest"
-    loop_unit = "round"
     tiers = TIERS  # every rung, "sharded-kernel" down to "legacy"
 
     def resolve(self, executor: Any, factory: Any = None,
@@ -114,7 +109,6 @@ class MPCModel(ComputationModel):
     """
 
     name = "mpc"
-    loop_unit = "superstep"
     tiers = MPC_TIERS
 
     def _reject_reason(self, tier: str) -> str:
@@ -162,18 +156,3 @@ class MPCModel(ComputationModel):
 
 CONGEST_MODEL = CongestModel()
 MPC_MODEL = MPCModel()
-
-#: Registry of computation models by name.
-MODELS: Dict[str, ComputationModel] = {
-    CONGEST_MODEL.name: CONGEST_MODEL,
-    MPC_MODEL.name: MPC_MODEL,
-}
-
-
-def get_model(name: str) -> ComputationModel:
-    """Look up a registered computation model by name."""
-    try:
-        return MODELS[name]
-    except KeyError:
-        raise ValueError(f"unknown computation model {name!r}; "
-                         f"registered: {', '.join(sorted(MODELS))}") from None

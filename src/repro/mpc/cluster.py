@@ -19,10 +19,13 @@ so ``repro.run("mpc_maximal", ...)`` surfaces it like any other cost.
 
 :class:`MPCCluster` exposes the same executor surface
 (``wants``/``emit``/``metrics``/``explain_execution``) the shared
-:class:`~repro.runtime.driver.PhaseDriver` needs, so MPC drivers reuse
-the phase/trace/profile machinery unchanged.  Supersteps are charged
-through :meth:`MPCCluster.superstep` and land in ``Metrics.rounds`` (the
-model's :attr:`~repro.models.base.MPCModel.loop_unit` is "superstep").
+:class:`~repro.runtime.driver.PhaseDriver` needs — its ``observe=``
+resolution and ``wants``/``emit`` are :func:`~repro.observe.events.
+resolve_bus` and :class:`~repro.observe.events.Observable`, the ones
+``Network`` uses — so MPC drivers reuse the phase/trace/profile
+machinery unchanged.  Supersteps are charged through
+:meth:`MPCCluster.superstep` and land in ``Metrics.rounds``, so
+cross-model round/superstep tables line up.
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ from ..models.execution import ExecutionDecision, as_plan
 from ..observe.events import (
     ROUND_END,
     ROUND_START,
-    Event,
-    EventBus,
+    Observable,
     RoundEnd,
     RoundStart,
-    ambient_bus,
+    resolve_bus,
 )
 from ..runtime.metrics import Metrics
 
@@ -118,7 +120,7 @@ class MPCMachine:
         self.resident = max(0, self.resident - words)
 
 
-class MPCCluster:
+class MPCCluster(Observable):
     """A fleet of :class:`MPCMachine` ledgers plus the executor surface
     (``wants``/``emit``/``metrics``) the shared runtime drivers need.
 
@@ -154,18 +156,7 @@ class MPCCluster:
 
         # observability mirrors Network: explicit observe= wins, else the
         # ambient bus of an enclosing `observing(...)` context
-        self.bus: Optional[EventBus] = None
-        if observe is not None:
-            if isinstance(observe, EventBus):
-                self.bus = observe
-            else:
-                self.bus = EventBus()
-                observers = (observe if isinstance(observe, (list, tuple))
-                             else (observe,))
-                for observer in observers:
-                    self.bus.subscribe(observer)
-        else:
-            self.bus = ambient_bus()
+        self.bus = resolve_bus(observe)
 
         n = graph.num_nodes
         self.machine_words = machine_words(n, alpha)
@@ -211,25 +202,6 @@ class MPCCluster:
         #: vertex id (ids are the only payload the drivers ship)
         self.word_bits = max(1, (max(n, 2) - 1).bit_length())
         self._superstep_counter = 0
-
-    # -- executor surface shared with Network ---------------------------
-    def wants(self, kind: Any) -> bool:
-        """True iff an observer is interested in ``kind``."""
-        bus = self.bus
-        return bus is not None and bus.wants(kind)
-
-    def emit(self, event: Event) -> None:
-        """Publish a driver-level event on the bus (no-op unobserved)."""
-        bus = self.bus
-        if bus is not None:
-            bus.emit(event)
-
-    def observer_for(self, kind: Any):
-        """``bus.emit`` when someone listens for ``kind``, else None."""
-        bus = self.bus
-        if bus is not None and bus.wants(kind):
-            return bus.emit
-        return None
 
     def explain_execution(self, factory: Any = None,
                           shared: Optional[Dict[str, Any]] = None,

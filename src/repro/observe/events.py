@@ -30,6 +30,9 @@ stream that makes runs inspectable without slowing them down:
   constructed inside the ``with`` block attaches to the given observers,
   which is how ``python -m repro experiments --trace DIR`` captures whole
   experiment tables without threading a bus through every call site.
+* :func:`resolve_bus` / :class:`Observable` — the executor side, shared by
+  every executor: how an ``observe=`` argument becomes a bus, and the
+  ``wants``/``emit``/``observer_for`` surface drivers publish through.
 
 Event emission never touches the network's random streams, so an observed
 run is bit-identical to an unobserved one (outputs, rounds, metrics) — the
@@ -457,6 +460,63 @@ class observing:
 
     def __exit__(self, *exc_info: Any) -> None:
         _AMBIENT.remove(self.bus)
+
+
+# ---------------------------------------------------------------------------
+# The executor side, shared by every executor
+# ---------------------------------------------------------------------------
+
+
+def resolve_bus(observe: Any) -> Optional[EventBus]:
+    """The bus an executor's ``observe=`` argument names.
+
+    An :class:`EventBus` is used as is; one observer, or a list or tuple
+    of them, is subscribed onto a fresh bus; ``None`` falls back to the
+    innermost :func:`observing` bus (None outside any context).
+    """
+    if observe is None:
+        return ambient_bus()
+    if isinstance(observe, EventBus):
+        return observe
+    bus = EventBus()
+    for observer in (observe if isinstance(observe, (list, tuple))
+                     else (observe,)):
+        bus.subscribe(observer)
+    return bus
+
+
+class Observable:
+    """The observation surface drivers see on every executor.
+
+    A subclass sets ``bus`` (usually from :func:`resolve_bus`); the class
+    default ``None`` is an executor that is never observed.
+    """
+
+    bus: Optional[EventBus] = None
+
+    def wants(self, kind: KindSpec) -> bool:
+        """True iff an observer is interested in ``kind`` (False when
+        unobserved) — drivers guard expensive event construction with it."""
+        bus = self.bus
+        return bus is not None and bus.wants(kind)
+
+    def emit(self, event: Event) -> None:
+        """Publish a driver-level event on the bus (no-op when unobserved)."""
+        bus = self.bus
+        if bus is not None:
+            bus.emit(event)
+
+    def observer_for(self, kind: KindSpec) -> Optional[Observer]:
+        """``bus.emit`` when someone is interested in ``kind``, else None.
+
+        The hook for instrumentation inside node programs: drivers thread
+        the returned callable through ``shared`` only when an observer is
+        actually listening, so unobserved runs carry no closure at all.
+        """
+        bus = self.bus
+        if bus is not None and bus.wants(kind):
+            return bus.emit
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from ..observe.events import (
     PhaseEnd,
     PhaseStart,
     Repair,
-    ambient_bus,
+    resolve_bus,
 )
 from ..models.base import CONGEST_MODEL
 from ..models.execution import as_plan
@@ -240,15 +240,9 @@ class MatchingService:
         self._ov_edges: Dict[Tuple[int, int], bool] = {}
         self._ov_nodes: Dict[int, bool] = {}
         self._obs = ObservabilityScope(observe, trace, profile)
-        resolved = self._obs.observe
-        if isinstance(resolved, EventBus):
-            self.bus: EventBus = resolved
-        elif resolved:
-            self.bus = EventBus()
-            for observer in resolved:
-                self.bus.subscribe(observer)
-        else:
-            self.bus = ambient_bus() or EventBus()
+        # unlike a Network, the service always has a bus: it emits its
+        # batch events unconditionally
+        self.bus: EventBus = resolve_bus(self._obs.observe) or EventBus()
         # establish the invariant on the initial graph (epoch 0)
         if self.repair_mode == "legacy":
             augmentations, explored = self._repair_legacy(

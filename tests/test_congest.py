@@ -203,6 +203,28 @@ class TestNetwork:
         with pytest.raises(ProtocolError):
             net.run(_BadTargetNode)
 
+    def test_round_that_raises_is_not_counted(self):
+        # every tier records a round only after its computation returns:
+        # the round-2 traffic was delivered (and is paid for), but the
+        # round itself never completed
+        class CrashAtRoundTwo(NodeAlgorithm):
+            def start(self):
+                self.rounds = 0
+                return {BROADCAST: 0}
+
+            def on_round(self, inbox):
+                self.rounds += 1
+                if self.rounds == 2:
+                    raise RuntimeError("node crashed")
+                return {BROADCAST: self.rounds}
+
+        net = Network(path_graph(4), policy=LOCAL, seed=0)
+        with pytest.raises(RuntimeError, match="node crashed"):
+            net.run(CrashAtRoundTwo, protocol="crash")
+        assert net.metrics.rounds == 1
+        assert net.metrics.protocol_rounds == {"crash": 1}
+        assert net.metrics.messages == 12
+
     def test_node_rng_deterministic(self):
         g = path_graph(2)
         a = Network(g, seed=42).node_rng(0).random()

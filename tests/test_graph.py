@@ -271,6 +271,20 @@ class TestBipartiteGraph:
         with pytest.raises(GraphError):
             g.side(9)
 
+    def test_bipartition_is_the_declared_split(self):
+        # a 2-coloring would put node 0 on the left; the declared split wins
+        g = BipartiteGraph(left=[1], right=[0])
+        g.add_edge(0, 1)
+        assert g.bipartition() == ({1}, {0})
+
+    def test_removed_node_leaves_its_side(self):
+        # a MatchingService over a BipartiteGraph deletes nodes, then
+        # certifies against bipartition(): a stale side would crash it
+        g = BipartiteGraph([0, 1], [2])
+        g.add_edge(0, 2)
+        g.remove_node(1)
+        assert g.bipartition() == ({0}, {2})
+
 
 class TestCSRAdjacency:
     """Structural properties of the flat CSR snapshot (the engines' world).

@@ -1,7 +1,7 @@
 """Tests for the computation-model seam (repro.models).
 
 Covers the :class:`~repro.models.base.ComputationModel` contract (tier
-validation, registry), ``explain_execution`` reason chains naming the
+vocabulary and validation), ``explain_execution`` reason chains naming the
 model on both executors, MPC's rejection of CONGEST-only tiers, and the
 ``repro.congest`` package re-exports: every class hoisted into
 ``repro.runtime`` / ``repro.observe`` / ``repro.models`` is importable from
@@ -14,29 +14,14 @@ from repro.congest.network import Network
 from repro.graphs import gnp, path_graph
 from repro.models import (
     CONGEST_MODEL,
-    MODELS,
     MPC_MODEL,
     ExecutionPlan,
     ModelExecutionError,
-    get_model,
 )
 from repro.mpc import MPCCluster
 
 
 class TestRegistry:
-    def test_models_registered(self):
-        assert set(MODELS) == {"congest", "mpc"}
-        assert get_model("congest") is CONGEST_MODEL
-        assert get_model("mpc") is MPC_MODEL
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError, match="unknown computation model"):
-            get_model("pram")
-
-    def test_loop_units(self):
-        assert CONGEST_MODEL.loop_unit == "round"
-        assert MPC_MODEL.loop_unit == "superstep"
-
     def test_tier_vocabulary(self):
         # CONGEST owns the engine ladder; MPC owns its own two rungs
         assert MPC_MODEL.tiers == ("mpc_kernel", "node")

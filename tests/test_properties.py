@@ -264,12 +264,14 @@ def test_b_matching_half_property(seed, cap):
 @given(st.integers(0, 300))
 def test_koenig_certifies_hopcroft_karp(seed):
     from repro.graphs import random_bipartite
-    from repro.matching import duality_certificate
+    from repro.matching import is_vertex_cover, koenig_cover
     from repro.matching.sequential import max_cardinality_bipartite
 
     g = random_bipartite(7, 8, 0.3, rng=seed)
     m = max_cardinality_bipartite(g)
-    assert duality_certificate(g, m).proves_optimal
+    cover = koenig_cover(g, m)
+    assert is_vertex_cover(g, cover)
+    assert len(cover) == m.size
 
 
 @given(st.integers(0, 100))

@@ -51,11 +51,13 @@ class TestTracer:
         assert "->" in text
 
     def test_render_truncates_payloads(self):
-        from repro.observe.tracing import TraceEvent
+        from repro.observe import MessageDelivered
 
-        event = TraceEvent(protocol="p", round=1, sender=0, receiver=1,
-                           bits=8, payload="x" * 200)
-        assert len(event.render()) < 120
+        tracer = Tracer()
+        tracer.record(MessageDelivered(protocol="p", round=1, sender=0,
+                                       receiver=1, bits=8,
+                                       payload="x" * 200))
+        assert len(tracer.render()) < 120
 
     def test_capacity_bound(self):
         g = gnp(15, 0.3, rng=2)
