@@ -233,13 +233,11 @@ def mpc_maximal_matching(graph: Graph, *, alpha: float = 0.5, seed: int = 0,
                          observe: Any = None,
                          trace: Any = None,
                          profile: Any = None,
-                         execution: Any = None,
-                         max_iterations: Optional[int] = None
-                         ) -> MatchingResult:
-    """Maximal matching under the simulated MPC model (ROADMAP item 1).
+                         execution: Any = None) -> MatchingResult:
+    """Maximal matching under the simulated MPC model.
 
-    Runs the Ghaffari–Uitto-style sparsify/stall/ball-growing/local-MIS/
-    integrate driver (:func:`repro.mpc.mpc_maximal`) on an
+    Runs the sparsify/best/local-MIS/integrate driver
+    (:func:`repro.mpc.mpc_maximal`, five supersteps per iteration) on an
     :class:`~repro.mpc.cluster.MPCCluster` with a hard per-machine budget
     of ``S = ceil(n**alpha)`` words; an ``alpha`` too small for the input
     raises :class:`~repro.mpc.cluster.MemoryExceeded`.  The result's
@@ -253,7 +251,7 @@ def mpc_maximal_matching(graph: Graph, *, alpha: float = 0.5, seed: int = 0,
     obs = ObservabilityScope(observe, trace, profile)
     cluster = MPCCluster(graph, alpha=alpha, seed=seed,
                          observe=obs.observe, execution=execution)
-    res = _mpc_driver(cluster, max_iterations=max_iterations)
+    res = _mpc_driver(cluster)
     cert = certify(graph, res.matching, k=1)
     result = MatchingResult(
         matching=res.matching, algorithm=f"mpc_maximal(alpha={alpha:g})",

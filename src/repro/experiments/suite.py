@@ -693,7 +693,7 @@ def t18_auction(n_side: int = 24, p: float = 0.2,
 def t19_mpc_alpha(n: int = 600, p: float = 0.012,
                   alphas: Sequence[float] = (0.5, 0.6, 0.7, 0.8, 0.9),
                   seeds: Sequence[int] = (0, 1, 2)) -> Table:
-    """MPC maximal matching: supersteps and peak memory vs alpha."""
+    """MPC maximal matching: memory, supersteps and edge decay vs alpha."""
     from ..matching.verify import is_maximal
     from ..mpc import MPCCluster, mpc_maximal
 
@@ -701,16 +701,25 @@ def t19_mpc_alpha(n: int = 600, p: float = 0.012,
         title=f"T19 MPC alpha scaling: maximal matching on G({n},{p}), "
               f"S = ceil(n^alpha) words/machine",
         columns=["alpha", "S (words)", "machines", "mean supersteps",
-                 "mean iterations", "mean peak words", "peak/S", "maximal"],
+                 "mean iterations", "mean peak words", "peak/S",
+                 "max survival", "max iters/log2 Delta", "maximal"],
     )
     graphs = [gnp(n, p, rng=s) for s in seeds]
     for alpha in alphas:
         steps, iters, peaks, maximal = [], [], [], True
+        survival = iters_per_log = 0.0
         limit = machines = 0
         for seed, g in enumerate(graphs):
             cluster = MPCCluster(g, alpha=alpha, seed=seed)
             res = mpc_maximal(cluster)
             assert res.peak_words <= cluster.machine_words
+            assert res.supersteps == 1 + 5 * res.iterations
+            alive = g.num_edges
+            for dropped in res.edge_decay:
+                survival = max(survival, (alive - dropped) / alive)
+                alive -= dropped
+            iters_per_log = max(iters_per_log, res.iterations
+                                / math.log2(max(2, g.max_degree)))
             steps.append(res.supersteps)
             iters.append(res.iterations)
             peaks.append(res.peak_words)
@@ -718,14 +727,18 @@ def t19_mpc_alpha(n: int = 600, p: float = 0.012,
             limit, machines = cluster.machine_words, cluster.num_machines
         table.add_row(alpha, limit, machines, _mean(steps), _mean(iters),
                       _mean(peaks), round(_mean(peaks) / limit, 3),
+                      round(survival, 3), round(iters_per_log, 3),
                       "yes" if maximal else "NO")
     table.add_note("smaller alpha means less memory per machine, hence "
-                   "more machines; every run ends maximal and the in-run "
-                   "guard keeps peak/S under 1; at small n seed noise can "
-                   "outweigh the superstep trend in alpha, which "
-                   "benchmarks/test_t19_mpc_alpha.py checks at n=10000; "
-                   "below the floor S < 16 the cluster refuses to start "
-                   "(MemoryExceeded)")
+                   "more machines; supersteps are 1 + 5 per iteration, "
+                   "whatever alpha is; max survival is the largest "
+                   "fraction of alive edges that outlives any one "
+                   "iteration and iters/log2 Delta relates iterations to "
+                   "the maximum degree, the two peeling rates "
+                   "benchmarks/test_t19_mpc_alpha.py bounds at n=10000; "
+                   "every run ends maximal and the in-run guard keeps "
+                   "peak/S under 1; below the floor S < 16 the cluster "
+                   "refuses to start (MemoryExceeded)")
     return table
 
 

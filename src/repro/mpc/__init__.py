@@ -1,9 +1,9 @@
 """Simulated MPC computation model: sublinear memory per machine.
 
-The second computation model on the :mod:`repro.models` seam (ROADMAP
-item 1): machines with a hard ``S = ceil(n**alpha)``-word budget
-(:class:`MPCCluster`, :class:`MemoryExceeded`) and a Ghaffari–Uitto-
-style maximal matching driver (:func:`mpc_maximal`) built on the shared
+The second computation model on the :mod:`repro.models` seam: machines
+with a hard ``S = ceil(n**alpha)``-word budget (:class:`MPCCluster`,
+:class:`MemoryExceeded`) and a sample-and-match maximal matching driver
+(:func:`mpc_maximal`, five supersteps per iteration) built on the shared
 :class:`~repro.runtime.driver.PhaseDriver`, so ``observe=``/``trace=``/
 ``profile=`` work exactly as they do for CONGEST runs.  Entry points:
 ``repro.run("mpc_maximal", g, alpha=0.5)`` and ``python -m repro mpc``.

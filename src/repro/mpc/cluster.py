@@ -58,13 +58,13 @@ __all__ = [
 #: resident on every machine before any graph data arrives.
 BASE_WORDS = 2
 
-#: The smallest cap any cluster can run with.  The resident half needs
-#: base state plus one edge record and one vertex record (2 words each);
-#: the working half needs one sampled edge (2 words), its two
-#: ball-growing label slots (4 words), and its acceptance word — 7 words,
-#: rounded to 8.  A plan with ``S = ceil(n**alpha) < MIN_MACHINE_WORDS``
-#: *provably* trips the guard: the construction-time distribution of
-#: input words cannot fit even at one record per machine.
+#: The smallest cap any cluster can run with: two 8-word halves.  The
+#: resident half needs base state plus one edge and one vertex record (2
+#: words each); the working half is ``working_budget``'s 8-word floor, the
+#: least that makes the sample cap ``working_budget // 8`` one sampled edge
+#: (2 words plus a 1-word acceptance).  A plan with ``S = ceil(n**alpha) <
+#: MIN_MACHINE_WORDS`` *provably* trips the guard: the construction-time
+#: distribution of input words cannot fit even at one record per machine.
 MIN_MACHINE_WORDS = 16
 
 
@@ -167,8 +167,8 @@ class MPCCluster(Observable):
             raise MemoryExceeded(0, MIN_MACHINE_WORDS, self.machine_words,
                                  "input distribution")
         #: working headroom reserved on every machine for per-superstep
-        #: allocations (samples, ball-growing labels, acceptance words);
-        #: the driver budgets its per-iteration working sets against this
+        #: allocations (sampled edges and their acceptance words); the
+        #: driver budgets its per-iteration working sets against this
         self.working_budget = max(8, self.machine_words // 4)
         resident_budget = self.machine_words - self.working_budget
 
@@ -232,7 +232,7 @@ class MPCCluster(Observable):
                                      round=self._superstep_counter))
             self.metrics.record_round(protocol)
             if observed:
-                # traffic rides the first step; padded steps are quiet
+                # a multi-step charge carries its traffic on step one
                 self.emit(RoundEnd(protocol=protocol,
                                    round=self._superstep_counter,
                                    messages=messages if step == 0 else 0,

@@ -2,18 +2,20 @@
 
 The ``mpc_kernel`` rung of the MPC model's ladder packs the cluster's
 per-machine state — the resident/working word ledgers, the alive-edge
-set, the sampled-edge working sets and the ball-growing pointer arrays —
-into flat numpy arrays and executes each phase of the Ghaffari–Uitto
-driver (:mod:`repro.mpc.matching`) as whole-cluster array operations:
+set, the sampled-edge working sets and each vertex's best sample edge —
+into flat numpy arrays and executes each phase of the sparsify / best /
+local-MIS / integrate driver (:mod:`repro.mpc.matching`) as
+whole-cluster array operations:
 
 * **priorities** — the deterministic splitmix64 chain of
   :func:`repro.dist.random_tools.spawn_seed` replayed bit-for-bit over
   ``uint64`` arrays (:func:`vec_splitmix64`), so the vectorized sample
   is the *same* sample the per-machine python loops pick;
 * **sparsify** — per-machine lowest-``q`` selection via one lexsort and
-  a grouped rank, instead of a python sort per machine;
-* **ball growing** — pointer jumping as repeated fancy indexing over a
-  compacted parent array;
+  a grouped rank, instead of a python sort per machine, and Δ_est as one
+  ``bincount`` over the alive edges' endpoints;
+* **best** — each vertex's minimum sample position as two
+  ``minimum.at`` reductions;
 * **local MIS** — the mutual-minima test as two array lookups;
 * **integrate** — dead-edge elimination as a boolean mask reduction.
 
@@ -35,7 +37,6 @@ falling through to the ``node`` rung.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..dist.random_tools import _MASK64, _fold, _splitmix64
@@ -162,7 +163,7 @@ class VectorLedger:
 
 
 class VectorPasses:
-    """Array-native implementations of the driver's five phase passes.
+    """Array-native implementations of the driver's phase passes.
 
     One instance per run; the interface (and every count it returns) is
     identical to ``repro.mpc.matching._NodePasses`` — the shared driver
@@ -215,8 +216,7 @@ class VectorPasses:
         self.working = np.zeros(M, dtype=np.int64)
         self.sample_idx = self.sample_home = None
         self.su = self.sv = None
-        self.verts = self.best_s = None
-        self._accepted_s = None
+        self.best_at = None
 
     # -- shared charge plumbing -----------------------------------------
     def _charge_working(self, counts: "Any", phase: str,
@@ -243,10 +243,13 @@ class VectorPasses:
     # -- sparsify --------------------------------------------------------
     def sparsify(self, iteration: int) -> Tuple[int, int]:
         """Per-machine lowest-``q`` working sample; returns
-        ``(sample_size, delta_est)``."""
+        ``(sample_size, delta_est)``, where ``delta_est`` is the alive
+        subgraph's maximum degree."""
         np = _np
         self.working[:] = 0
         alive_idx = np.nonzero(self.alive)[0]
+        delta_est = int(np.bincount(np.concatenate(
+            (self.eu[alive_idx], self.ev[alive_idx]))).max())
         it_state = np.uint64(_fold(self._prefix, iteration))
         pri = vec_splitmix64(
             vec_splitmix64(it_state ^ self.pa[alive_idx]) ^ self.pb[alive_idx])
@@ -281,69 +284,31 @@ class VectorPasses:
                 yield mach, int(counts[mach])
 
         self._charge_working(counts, "sparsify", events)
-
-        # Δ_est peeling counter: residual-degree estimate from the
-        # working sample (max sampled edges at any endpoint)
-        if self.sample_idx.size:
-            delta_est = int(np.bincount(
-                np.concatenate((self.su, self.sv))).max())
-        else:
-            delta_est = 0
         return int(self.sample_idx.size), delta_est
 
-    # -- ball growing ----------------------------------------------------
-    def ball_growing(self) -> Tuple[int, int, int]:
-        """Pointer-jump the sampled forest; returns
-        ``(sampled_vertices, jumps, components)``."""
+    # -- best ------------------------------------------------------------
+    def best(self) -> int:
+        """Each sampled vertex's minimum-priority sample edge; returns
+        the number of sampled vertices."""
         np = _np
+        # the sample is in (pri, idx) order, so "minimum (pri, idx)" is
+        # "minimum sample position"; k marks a vertex with no sample edge
         k = int(self.sample_idx.size)
-        counts = 4 * np.bincount(self.sample_home, minlength=self.M)
-        sample_home = self.sample_home
-
-        def events() -> Iterator[Tuple[int, int]]:
-            for h in sample_home.tolist():
-                yield h, 4
-
-        self._charge_working(counts, "ball_growing", events)
-
-        # best sample per endpoint: the sample is in (pri, idx) order, so
-        # "minimum (pri, idx)" is "minimum sample position s"
-        ends = np.column_stack((self.su, self.sv)).ravel()
-        s2 = np.repeat(np.arange(k, dtype=np.int64), 2)
-        order = np.argsort(ends, kind="stable")
-        se, ss = ends[order], s2[order]
-        first = np.empty(se.size, dtype=bool)
-        if se.size:
-            first[0] = True
-            np.not_equal(se[1:], se[:-1], out=first[1:])
-        verts = se[first]       # sampled vertices, ascending node index
-        best_s = ss[first]      # their minimum-priority incident sample
-        self.verts, self.best_s = verts, best_s
-
-        # parent pointer: the other endpoint of the best edge
-        bu, bv = self.su[best_s], self.sv[best_s]
-        parent = np.searchsorted(verts, np.where(bu == verts, bv, bu))
-        jumps = max(1, math.ceil(math.log2(max(2, int(verts.size)))))
-        for _ in range(jumps):
-            parent = parent[parent]
-        self_idx = np.arange(verts.size, dtype=np.int64)
-        # leaders are 2-cycles of the jumped forest (mutual minima)
-        label = np.where(parent[parent] == self_idx,
-                         np.minimum(self_idx, parent), parent)
-        components = int(np.unique(label).size)
-        return int(verts.size), jumps, components
+        s = np.arange(k, dtype=np.int64)
+        best_at = np.full(self.num_nodes, k, dtype=np.int64)
+        np.minimum.at(best_at, self.su, s)
+        np.minimum.at(best_at, self.sv, s)
+        self.best_at = best_at
+        return int(np.count_nonzero(best_at < k))
 
     # -- local MIS -------------------------------------------------------
     def local_mis(self) -> List[int]:
         """Mutual minima of the sample, as global edge indices in the
         node tier's acceptance order (ascending sample position)."""
         np = _np
-        best_at = np.full(self.num_nodes, -1, dtype=np.int64)
-        best_at[self.verts] = self.best_s
         s = np.arange(self.sample_idx.size, dtype=np.int64)
-        accepted_s = np.nonzero((best_at[self.su] == s)
-                                & (best_at[self.sv] == s))[0]
-        self._accepted_s = accepted_s
+        accepted_s = np.nonzero((self.best_at[self.su] == s)
+                                & (self.best_at[self.sv] == s))[0]
         acc_home = self.sample_home[accepted_s]
         counts = np.bincount(acc_home, minlength=self.M)
 

@@ -1,11 +1,14 @@
 """Strongly sublinear maximal matching on the simulated MPC cluster.
 
-The driver follows the Ghaffari–Uitto recipe for maximal matching with
-``S = n**alpha`` words per machine, phrased as five phases per
+:func:`mpc_maximal` computes a maximal matching with ``S = n**alpha``
+words per machine by sparsifying the alive edges and matching the mutual
+minima of the sample — the sampling step of the Ghaffari–Uitto line of
+work, without its multi-hop ball gathering.  It runs four phases per
 iteration (each a :class:`~repro.runtime.driver.PhaseDriver` phase, so
-traces and profiles show the textbook structure):
+traces and profiles show the structure); every phase decides something
+the next one reads, and an iteration costs five supersteps:
 
-``sparsify``
+``sparsify`` (1 superstep)
     Every machine narrows its resident alive edges to a working sample
     of at most ``q = working_budget // 8`` edges — the ones with the
     lowest deterministic priorities ``h(iteration, u, v)`` (a
@@ -13,33 +16,24 @@ traces and profiles show the textbook structure):
     are reproducible and machine-order independent).  Sampling is what
     keeps every later working set within the per-machine cap.
 
-``stall``
-    All machines pad to the combiner-tree depth ``ceil(log2 M)``: every
-    aggregation below rides an M-leaf binary tree, and the schedule is
-    padded up front so it is oblivious to data skew (machines with few
-    sampled edges wait, they do not race ahead).
+``best`` (1 superstep)
+    Each sampled vertex learns its minimum-priority incident sample
+    edge.
 
-``ball_growing``
-    Graph exponentiation on the sampled subgraph: each sampled vertex
-    points along its minimum-priority incident sample edge, and pointer
-    jumping (``parent <- parent[parent]``, doubling the known radius
-    each superstep) runs for ``ceil(log2 |V_sample|)`` supersteps until
-    every vertex knows its component's leader.  The leader edge of each
-    component is a *mutual minimum*, which is the progress certificate
-    the next phase consumes.
-
-``local_mis``
+``local_mis`` (1 superstep)
     An independent set in the line graph of the sample: edge ``(u, v)``
-    joins iff it is the minimum-priority sample edge at **both**
-    endpoints.  Mutual minima are pairwise non-adjacent by construction,
-    and every nonempty component contributes at least its leader edge —
-    so every iteration matches at least one edge and the loop
-    terminates.
+    joins iff it is the ``best`` edge at **both** endpoints.  Such mutual
+    minima are pairwise non-adjacent by construction, and the sample's
+    globally minimum edge is always one of them — so every iteration
+    matches at least one edge and the loop terminates.
 
-``integrate``
+``integrate`` (2 supersteps)
     Accepted edges become matched: endpoint owners mark both vertices
     dead, every machine drops its now-dead resident edges (releasing
     their words), and the working sets are freed.
+
+One more superstep distributes the input, so a run of ``i`` iterations
+takes ``1 + 5 * i`` supersteps.
 
 The phase *bodies* come in two golden-equivalent implementations behind
 one interface: :class:`_NodePasses` (the per-machine python loops — the
@@ -56,19 +50,18 @@ Every allocation along the way goes through
 ledger mirror), so the hard memory guard is enforced *during* the run,
 not audited after it.
 
-Per iteration the phases also emit the roadmap's peeling counters, cheap
-on both tiers: ``delta_est`` (the residual-degree estimate read off the
-working sample) on ``sparsify`` and ``decay_ratio`` (the fraction of
-alive edges eliminated) on ``integrate`` — visible in traces, Profiler
-counter rows and :attr:`MPCMatchingResult.delta_est` /
+Per iteration the phases also emit two peeling counters, cheap on both
+tiers: ``delta_est`` (the maximum degree of the alive subgraph at the
+start of the iteration) on ``sparsify`` and ``decay_ratio`` (the
+fraction of alive edges eliminated) on ``integrate`` — visible in
+traces, Profiler counter rows and :attr:`MPCMatchingResult.delta_est` /
 :attr:`MPCMatchingResult.edge_decay`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..dist.random_tools import spawn_seed
 from ..matching.core import Matching
@@ -85,9 +78,10 @@ class MPCMatchingResult(ProtocolResult):
     ``network`` carries the :class:`~repro.mpc.cluster.MPCCluster` (it
     satisfies the same ``.metrics`` surface), so the inherited
     ``metrics``/``rounds_total`` properties report supersteps and the
-    memory account.  ``tier`` records which rung of the MPC ladder the
-    run resolved to (``"mpc_kernel"`` or ``"node"``); the two are
-    golden-equivalent in everything else this result carries.
+    memory account; ``supersteps == 1 + 5 * iterations``.  ``tier``
+    records which rung of the MPC ladder the run resolved to
+    (``"mpc_kernel"`` or ``"node"``); the two are golden-equivalent in
+    everything else this result carries.
     """
 
     alpha: float = 0.0
@@ -98,9 +92,9 @@ class MPCMatchingResult(ProtocolResult):
     num_machines: int = 0
     #: the resolved execution rung this run used
     tier: str = "node"
-    #: per-iteration (sampled edges, components, matched edges) triples
-    iteration_stats: List[Tuple[int, int, int]] = field(default_factory=list)
-    #: per-iteration residual-degree estimates from the working sample
+    #: per-iteration (sampled edges, matched edges) pairs
+    iteration_stats: List[Tuple[int, int]] = field(default_factory=list)
+    #: per-iteration maximum degree of the alive subgraph (Δ_est)
     delta_est: List[int] = field(default_factory=list)
     #: per-iteration alive-edge decay (edges eliminated by integrate)
     edge_decay: List[int] = field(default_factory=list)
@@ -126,9 +120,10 @@ class _NodePasses:
         self.cluster = cluster
         self.M = cluster.num_machines
         # per-machine sample cap: each sampled edge costs its home
-        # machine 2 (record) + 4 (ball-growing label slots) + 1
-        # (acceptance word) working words, so q samples stay within the
-        # working budget
+        # machine 2 (record) + 1 (acceptance word) working words.  The
+        # divisor picks the sample, hence the matching, so it stays at
+        # 8; a larger cap (working_budget // 3) saved one iteration in
+        # 2 of 9 runs on gnp(10000, 0.0008) and none in the other 7
         self.q = max(1, cluster.working_budget // 8)
         self.nodes = list(graph.nodes)  # sorted ids; determinism matters
         self.node_index = {v: i for i, v in enumerate(self.nodes)}
@@ -139,12 +134,11 @@ class _NodePasses:
         self.alive = [True] * self.num_edges
         self.alive_count = self.num_edges
         self.incident: Dict[Any, List[int]] = {}
-        self.matched: Dict[Any, Any] = {}
         # working[home] tracks one iteration's transient words so
         # integrate can release exactly what the phases charged
         self.working: Dict[int, int] = {}
         self.sample: List[Tuple[int, int]] = []
-        self.best: Dict[Any, Tuple[int, int]] = {}
+        self.best_at: Dict[Any, Tuple[int, int]] = {}
 
     def _edge_home(self, idx: int) -> int:
         return idx % self.M
@@ -169,12 +163,16 @@ class _NodePasses:
 
     def sparsify(self, iteration: int) -> Tuple[int, int]:
         """Per-machine lowest-priority working sample; returns
-        ``(sample_size, delta_est)``."""
+        ``(sample_size, delta_est)``, where ``delta_est`` is the alive
+        subgraph's maximum degree."""
         self.working = {}
         per_machine: Dict[int, List[Tuple[int, int]]] = {}
+        degree: Dict[Any, int] = {}
         for idx in range(self.num_edges):
             if self.alive[idx]:
                 u, v = self.edges[idx]
+                degree[u] = degree.get(u, 0) + 1
+                degree[v] = degree.get(v, 0) + 1
                 pri = _priority(self.cluster.seed, iteration, u, v)
                 per_machine.setdefault(self._edge_home(idx), []).append(
                     (pri, idx))
@@ -186,53 +184,26 @@ class _NodePasses:
             sample.extend(take)
         sample.sort()
         self.sample = sample
-        # Δ_est peeling counter: residual-degree estimate from the
-        # working sample (max sampled edges at any endpoint)
-        degree: Dict[Any, int] = {}
-        for _pri, idx in sample:
-            for w in self.edges[idx]:
-                degree[w] = degree.get(w, 0) + 1
-        return len(sample), max(degree.values(), default=0)
+        return len(sample), max(degree.values())
 
-    def ball_growing(self) -> Tuple[int, int, int]:
-        """Pointer-jump to component leaders; returns
-        ``(sampled_vertices, jumps, components)``."""
-        best: Dict[Any, Tuple[int, int]] = {}
+    def best(self) -> int:
+        """Each sampled vertex's minimum-priority sample edge; returns
+        the number of sampled vertices."""
+        # the sample is in (pri, idx) order, so a vertex's first sample
+        # edge is its minimum
+        best_at: Dict[Any, Tuple[int, int]] = {}
         for pri, idx in self.sample:
-            u, v = self.edges[idx]
-            if u not in best or (pri, idx) < best[u]:
-                best[u] = (pri, idx)
-            if v not in best or (pri, idx) < best[v]:
-                best[v] = (pri, idx)
-        # label state rides the sample's edge replicas (2 slots per
-        # endpoint on the edge's home machine), the standard edge-list
-        # layout for MPC pointer jumping — so the charge stays bounded
-        # by the per-machine sample cap
-        for _pri, idx in self.sample:
-            self._charge_working(self._edge_home(idx), 4, "ball_growing")
-        parent: Dict[Any, Any] = {}
-        for v, (pri, idx) in best.items():
-            a, b = self.edges[idx]
-            parent[v] = b if v == a else a
-        jumps = max(1, math.ceil(math.log2(max(2, len(best)))))
-        for _ in range(jumps):
-            parent = {v: parent.get(parent[v], parent[v])
-                      for v in parent}
-        # leaders: vertices on a mutual-minimum edge (2-cycles of the
-        # parent forest); count components via jump-stable labels
-        components = len({min(v, parent[v],
-                              key=lambda x: self.node_index[x])
-                          if parent.get(parent[v]) == v else parent[v]
-                          for v in parent})
-        self.best = best
-        return len(best), jumps, components
+            for w in self.edges[idx]:
+                best_at.setdefault(w, (pri, idx))
+        self.best_at = best_at
+        return len(best_at)
 
     def local_mis(self) -> List[int]:
         """Mutual minima of the sample (accepted global edge indices)."""
         accepted: List[int] = []
         for pri, idx in self.sample:
             u, v = self.edges[idx]
-            if self.best[u] == (pri, idx) and self.best[v] == (pri, idx):
+            if self.best_at[u] == self.best_at[v] == (pri, idx):
                 accepted.append(idx)
         # one word of mutual-minimum agreement per accepted edge,
         # recorded on the edge's home machine
@@ -244,17 +215,14 @@ class _NodePasses:
         """Apply the matching, drop dead edges, free the working sets."""
         dropped = 0
         for idx in accepted:
-            u, v = self.edges[idx]
-            self.matched[u] = v
-            self.matched[v] = u
-            for w in (u, v):
+            for w in self.edges[idx]:
                 for inc in self.incident[w]:
                     if self.alive[inc]:
                         self.alive[inc] = False
                         self.alive_count -= 1
                         dropped += 1
                         self.cluster.machines[self._edge_home(inc)].release(2)
-        # free the working sets (samples, labels, agreement words)
+        # free the working sets (samples and agreement words)
         for home, words in self.working.items():
             self.cluster.machines[home].release(words)
         return dropped
@@ -263,13 +231,13 @@ class _NodePasses:
         """Nothing to sync: the node tier charges machines directly."""
 
 
-def mpc_maximal(cluster: MPCCluster,
-                max_iterations: Optional[int] = None) -> MPCMatchingResult:
+def mpc_maximal(cluster: MPCCluster) -> MPCMatchingResult:
     """Compute a maximal matching on ``cluster``'s graph.
 
-    Runs sparsify → stall → ball-growing → local-MIS → integrate
-    iterations until no alive edge remains; since every removed edge has
-    a matched endpoint, the result is maximal by construction (and
+    Runs sparsify → best → local-MIS → integrate iterations (five
+    supersteps each, after one for input distribution) until no alive
+    edge remains; since every removed edge has a matched endpoint, the
+    result is maximal by construction (and
     :func:`repro.matching.verify.certify` re-checks it independently).
     The cluster's execution plan resolves through the MPC ladder
     (``mpc_kernel`` → ``node``); both rungs are golden-equivalent, so
@@ -289,18 +257,17 @@ def mpc_maximal(cluster: MPCCluster,
         passes = _NodePasses(cluster, graph)
 
     m, n = passes.num_edges, passes.num_nodes
-    M = cluster.num_machines
 
     passes.distribute()
     cluster.superstep(protocol, count=1, messages=m + n,
                       words=2 * m + 2 * n)
 
-    if max_iterations is None:
-        max_iterations = 4 * max(1, m).bit_length() + n + 8
-    stall_depth = max(1, math.ceil(math.log2(max(2, M))))
+    # every iteration matches an edge, so this trips only if the progress
+    # invariant breaks; unlike the assert below, it holds under python -O
+    max_iterations = 4 * max(1, m).bit_length() + n + 8
 
     iteration = 0
-    stats: List[Tuple[int, int, int]] = []
+    stats: List[Tuple[int, int]] = []
     delta_series: List[int] = []
     decay_series: List[int] = []
     while passes.alive_count > 0:
@@ -320,19 +287,12 @@ def mpc_maximal(cluster: MPCCluster,
             ph.set_detail(alive=alive_before, sampled=sampled,
                           per_machine_cap=passes.q, delta_est=delta_est)
 
-        # -- stall: pad to the oblivious combiner-tree schedule ---------
-        with driver.phase(f"stall[{iteration}]") as ph:
-            cluster.superstep(protocol, count=stall_depth)
-            ph.set_detail(padded_supersteps=stall_depth)
-
-        # -- ball growing: pointer-jump to component leaders ------------
-        with driver.phase(f"ball_growing[{iteration}]") as ph:
-            sampled_vertices, jumps, components = passes.ball_growing()
-            cluster.superstep(protocol, count=jumps,
-                              messages=sampled_vertices,
+        # -- best: each sampled vertex's minimum sample edge ------------
+        with driver.phase(f"best[{iteration}]") as ph:
+            sampled_vertices = passes.best()
+            cluster.superstep(protocol, count=1, messages=sampled_vertices,
                               words=sampled_vertices)
-            ph.set_detail(sampled_vertices=sampled_vertices, jumps=jumps,
-                          components=components)
+            ph.set_detail(sampled_vertices=sampled_vertices)
 
         # -- local MIS on the line graph: mutual minima -----------------
         with driver.phase(f"local_mis[{iteration}]") as ph:
@@ -356,7 +316,7 @@ def mpc_maximal(cluster: MPCCluster,
                           alive=passes.alive_count,
                           decay_ratio=round(dropped / alive_before, 4))
 
-        stats.append((sampled, components, len(accepted)))
+        stats.append((sampled, len(accepted)))
         delta_series.append(delta_est)
         decay_series.append(dropped)
         driver.emit_augmentation(f"integrate[{iteration}]",

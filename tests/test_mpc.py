@@ -138,7 +138,30 @@ class TestMaximalMatching:
         assert len(res.iteration_stats) == res.iterations
         # every iteration matches at least one edge (the mutual-minimum
         # progress certificate)
-        assert all(matched >= 1 for _, _, matched in res.iteration_stats)
+        assert all(matched >= 1 for _, matched in res.iteration_stats)
+
+    @pytest.mark.parametrize("tier", ["node", "auto"])
+    def test_five_supersteps_per_iteration(self, tier):
+        # input distribution, then sparsify + best + local_mis + two
+        # integrate supersteps per iteration: nothing pads the schedule
+        for name, g in _families().items():
+            for alpha in (0.5, 0.7, 0.9):
+                res = mpc_maximal(MPCCluster(g, alpha=alpha, seed=1,
+                                             execution=tier))
+                assert res.supersteps == 1 + 5 * res.iterations, \
+                    (name, alpha)
+
+    @pytest.mark.parametrize("tier", ["node", "auto"])
+    @pytest.mark.parametrize("alpha", [0.5, 0.7])
+    def test_delta_est_is_the_alive_max_degree(self, tier, alpha):
+        # Δ_est is the alive subgraph's maximum degree at the start of
+        # each iteration: the input's at first, and it never rises
+        for name, g in _families().items():
+            res = mpc_maximal(MPCCluster(g, alpha=alpha, seed=0,
+                                         execution=tier))
+            assert res.delta_est[0] == g.max_degree, name
+            assert all(a >= b for a, b in
+                       zip(res.delta_est, res.delta_est[1:])), name
 
     def test_edgeless_graph(self):
         res = mpc_maximal(MPCCluster(gnp(300, 0.0), alpha=0.6))
@@ -178,6 +201,16 @@ class TestRunEntryPoint:
         assert {"phase_start", "phase_end", "round_start",
                 "round_end", "augmentation"} <= kinds
 
+    def test_trace_names_only_the_four_phases(self, tmp_path):
+        g = gnp(300, 0.02, rng=random.Random(0))
+        path = tmp_path / "mpc.jsonl"
+        repro.run("mpc_maximal", g, alpha=0.7, trace=str(path))
+        events = [json.loads(line) for line in path.read_text().splitlines()
+                  if line.strip()]
+        phases = {e["phase"].split("[")[0] for e in events
+                  if e["kind"] == "phase_start"}
+        assert phases == {"sparsify", "best", "local_mis", "integrate"}
+
     def test_profile_integration(self):
         g = gnp(300, 0.02, rng=random.Random(0))
         result = repro.run("mpc_maximal", g, alpha=0.7, profile=True)
@@ -186,7 +219,12 @@ class TestRunEntryPoint:
         assert "mpc_maximal" in protocols
         phases = {ph.phase for ph in result.profile.phases}
         assert any(ph.startswith("sparsify") for ph in phases)
-        assert any(ph.startswith("ball_growing") for ph in phases)
+        assert any(ph.startswith("best") for ph in phases)
+
+    def test_no_iteration_cap_option(self):
+        with pytest.raises(TypeError, match="max_iterations"):
+            repro.run("mpc_maximal", gnp(300, 0.02, rng=random.Random(0)),
+                      max_iterations=3)
 
     def test_guard_propagates_through_run(self):
         with pytest.raises(MemoryExceeded):

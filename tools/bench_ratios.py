@@ -456,7 +456,8 @@ def shard_rows(n: int = 10_000) -> List[Row]:
 def mpc_run(cluster: MPCCluster) -> Any:
     res = mpc_maximal(cluster)
     return (frozenset(res.matching.edges()), res.supersteps,
-            res.peak_words, res.iteration_stats)
+            res.peak_words, res.iteration_stats, res.delta_est,
+            res.edge_decay)
 
 
 def mpc_rows(n: int = 10_000, p: float = 0.0008,
