@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 try:  # numpy is an optional accelerator, never a requirement
@@ -123,7 +124,11 @@ class CSRArrays:
     is not, ``np`` is None and kernels take their pure-python branches.
 
     Accepts a :class:`Network` or a bare CSR adjacency snapshot (shard
-    workers hold only the latter).
+    workers hold only the latter).  Both persist across runs, so
+    ``level`` memoizes state a kernel derives from this layout and a
+    run's inputs, keyed by the kernel class; the kernel checks the inputs'
+    content before it reuses an entry (see :class:`~repro.dist.
+    bipartite_counting.CountingKernel`).
     """
 
     def __init__(self, source: Any) -> None:
@@ -135,6 +140,7 @@ class CSRArrays:
         self.indptr = csr.indptr
         self.tgt = csr.indices
         self.rev = csr.rev
+        self.level: Dict[type, Any] = {}
         self.np = _np
         if _np is not None:
             self.np_indptr = _np.frombuffer(csr.indptr, dtype=_np.int64)
@@ -148,6 +154,19 @@ class CSRArrays:
     def row(self, i: int) -> range:
         """The slot range of node index ``i``."""
         return range(self.indptr[i], self.indptr[i + 1])
+
+    def adjacent(self, i: int, j: Optional[int]) -> bool:
+        """True when node index ``j`` is a neighbor of node index ``i``.
+
+        A binary search of ``i``'s CSR row (rows ascend by neighbor
+        index): the kernels' check that a unicast target is a neighbor,
+        without per-node dicts.  ``j`` is None for an id outside the
+        graph."""
+        if j is None:
+            return False
+        hi = self.indptr[i + 1]
+        e = bisect_left(self.tgt, j, self.indptr[i], hi)
+        return e < hi and self.tgt[e] == j
 
 
 def csr_arrays(net: Network) -> CSRArrays:
@@ -354,7 +373,11 @@ class RoundKernel:
 
     * :meth:`setup` — read ``shared``, pack the initial state, perform the
       per-node path's ``start()`` semantics (including any halts and the
-      initial traffic);
+      initial traffic).  State fixed by the layout and inputs that recur
+      from run to run may be kept in ``self.arrays.level`` and reused
+      while a content check of those inputs holds (the counting kernel's
+      level state); a network's per-node dicts are built on first use
+      and no kernel needs them;
     * :meth:`unfinished` — True while any node has not halted;
     * :meth:`pending` — True while traffic is in flight (it ends a run
       only together with :attr:`passive`);

@@ -41,14 +41,16 @@ pays one dictionary lookup per round, never per-message work.  Fault
 injection is a constructor argument too (``faults=FaultSpec(loss=0.05)``),
 so lossy links compose with any engine and any observer.
 
-The graph is snapshotted at :class:`Network` construction (neighbor caches
-and the CSR layout); mutating the graph afterwards is not supported.
+The graph is snapshotted at :class:`Network` construction (the CSR layout;
+the per-node neighbor tables are derived from it on first use); mutating
+the graph afterwards is not supported.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..graphs.graph import Graph
@@ -218,20 +220,8 @@ class Network(Observable):
             getattr(graph, "csr_cache_hits", 0) - hits0,
             getattr(graph, "csr_cache_misses", 0) - misses0)
         self._order: Tuple[int, ...] = self.csr.order
-        self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
-        self._weight_cache: Dict[int, Dict[int, float]] = {}
-        self._slot_of: Dict[int, Dict[int, int]] = {}
-        order, indptr, indices, weights = (
-            self.csr.order, self.csr.indptr, self.csr.indices, self.csr.weights
-        )
-        for i, v in enumerate(order):
-            lo, hi = indptr[i], indptr[i + 1]
-            nbrs = tuple(order[indices[e]] for e in range(lo, hi))
-            self._neighbor_cache[v] = nbrs
-            self._weight_cache[v] = {
-                u: weights[lo + off] for off, u in enumerate(nbrs)
-            }
-            self._slot_of[v] = {u: lo + off for off, u in enumerate(nbrs)}
+        # the per-node tables (_neighbor_cache, _weight_cache, _slot_of)
+        # are derived from this snapshot on first use: see below
         # per-slot scratch used by the mixed broadcast+unicast outbox path
         self._slot_scratch: List[Any] = [_UNSET] * self.csr.num_slots
         # pipelining charge memoized per message bit-size (policy and n are
@@ -243,6 +233,33 @@ class Network(Observable):
         self._round_inboxes: Dict[int, Dict[int, Any]] = {}
         self._box_pool: List[Dict[int, Any]] = []
         self._live_boxes: List[Dict[int, Any]] = []
+
+    # -- per-node tables, derived from the CSR snapshot on first use -----
+    # Only per-node dispatch and the two delivery engines read them; a
+    # kernel checks adjacency against its sender's CSR row instead, so a
+    # network whose every run takes a kernel never builds them.
+
+    @cached_property
+    def _neighbor_cache(self) -> Dict[int, Tuple[int, ...]]:
+        """Node id -> its neighbor ids in ascending order (a CSR row)."""
+        order, indptr, indices = self._order, self.csr.indptr, self.csr.indices
+        at = order.__getitem__
+        return {v: tuple(map(at, indices[indptr[i]:indptr[i + 1]]))
+                for i, v in enumerate(order)}
+
+    @cached_property
+    def _weight_cache(self) -> Dict[int, Dict[int, float]]:
+        """Node id -> {neighbor id: edge weight}."""
+        indptr, weights = self.csr.indptr, self.csr.weights
+        return {v: dict(zip(nbrs, weights[indptr[i]:indptr[i + 1]]))
+                for i, (v, nbrs) in enumerate(self._neighbor_cache.items())}
+
+    @cached_property
+    def _slot_of(self) -> Dict[int, Dict[int, int]]:
+        """Node id -> {neighbor id: CSR slot of the edge to it}."""
+        indptr = self.csr.indptr
+        return {v: dict(zip(nbrs, range(indptr[i], indptr[i + 1])))
+                for i, (v, nbrs) in enumerate(self._neighbor_cache.items())}
 
     # ------------------------------------------------------------------
     def node_rng(self, node_id: int, salt: int = 0) -> random.Random:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..congest.kernels import RoundKernel, register_kernel
+from ..congest.kernels import CSRArrays, RoundKernel, register_kernel
 from ..congest.message import int_bits
 from ..congest.network import Network, ProtocolError
 from ..congest.node import Inbox, NodeAlgorithm, NodeContext, Outbox
@@ -110,23 +110,78 @@ class CountingNode(NodeAlgorithm):
         return {}
 
 
+class _Level:
+    """The part of Algorithm 3's state that one ``side``/``allowed`` pair
+    fixes: every counting pass of an augmentation (Theorem 3.10's phases,
+    one iteration of Algorithm 4's ``Aug``) shares it, and only the
+    matching and ``ell`` change between passes.
+
+    ``side`` and ``elig_t`` (each node index's eligible neighbor indices,
+    ascending) follow the node program's constructor; ``participants``
+    are the indices with a side and an eligible neighbor, and ``idle``
+    marks the rest, which halt at the start.  ``sides`` and ``allowed``
+    are content snapshots of the inputs, so :meth:`matches` holds only
+    while the caller's maps still say the same thing.
+    """
+
+    __slots__ = ("sides", "allowed", "side", "elig_t", "participants",
+                 "idle")
+
+    def __init__(self, A: CSRArrays, sides: Dict[int, Optional[int]],
+                 allowed: Optional[Set[Edge]]) -> None:
+        self.sides = dict(sides)
+        self.allowed = None if allowed is None else frozenset(allowed)
+        allowed = self.allowed
+        order, tgt, indptr = A.order, A.tgt, A.indptr
+        side = self.side = [sides.get(v) for v in order]
+        elig_t: List[Any] = []
+        participants: List[int] = []
+        idle = [True] * A.n
+        for i, si in enumerate(side):
+            row: Any = ()
+            if si is not None:
+                nbrs = tgt[indptr[i]:indptr[i + 1]]
+                if allowed is None:
+                    row = [u for u in nbrs
+                           if side[u] is not None and side[u] != si]
+                else:
+                    vid = order[i]
+                    row = [u for u in nbrs
+                           if side[u] is not None and side[u] != si
+                           and edge_key(vid, order[u]) in allowed]
+                if row:
+                    participants.append(i)
+                    idle[i] = False
+            elig_t.append(row)
+        self.elig_t = elig_t
+        self.participants = participants
+        self.idle = idle
+
+    def matches(self, sides: Dict[int, Optional[int]],
+                allowed: Optional[Set[Edge]]) -> bool:
+        return self.sides == sides and self.allowed == allowed
+
+
 @register_kernel(CountingNode)
 class CountingKernel(RoundKernel):
     """Vectorized superstep executor for :class:`CountingNode`.
 
     The BFS wave visits each node once, so per-round work is a sparse list
-    of in-flight ``(sender, targets, count)`` entries plus one pass over
-    the still-unreached nodes — packed python lists throughout.  Path
-    counts can reach ``Delta**ceil(ell/2)`` (arbitrary-precision ints), so
-    this kernel deliberately has no numpy branch: int64 would silently
-    overflow exactly where Lemma 3.9's pipelining costs get interesting.
+    of in-flight ``(sender, targets, count)`` entries and the round's
+    arrivals — packed python lists throughout.  Path counts can reach
+    ``Delta**ceil(ell/2)`` (arbitrary-precision ints), so this kernel
+    deliberately has no numpy branch: int64 would silently overflow
+    exactly where Lemma 3.9's pipelining costs get interesting.
 
-    Like the node program, a receiver only accepts arrivals from eligible
-    neighbors or its mate, forwarding is gated on the round number against
-    ``ell``, and a matched Y node forwarding to a non-adjacent mate raises
-    the engine's exact ``ProtocolError``.  ``passive = True`` mirrors the
-    node class, so the shared execute loop applies the engine's quiescence
-    rule (an unreached component parks the wave without spinning).
+    :meth:`setup` reuses the :class:`_Level` of the previous run on the
+    same layout while ``side`` and ``allowed`` say the same thing, so a
+    pass costs O(participants), not O(n + m).  Like the node program, a
+    receiver only accepts arrivals from eligible neighbors or its mate,
+    forwarding is gated on the round number against ``ell``, and a
+    matched Y node forwarding to a non-adjacent mate raises the engine's
+    exact ``ProtocolError``.  ``passive = True`` mirrors the node class,
+    so the engine loop applies its quiescence rule (an unreached
+    component parks the wave without spinning).
     """
 
     passive = True
@@ -135,67 +190,59 @@ class CountingKernel(RoundKernel):
 
     def setup(self, shared: Dict[str, Any]) -> None:
         A = self.arrays
-        n = A.n
-        order = A.order
-        tgt = A.tgt
         sides = shared["side"]
-        mates = shared["mate"]
-        self.ell: int = shared["ell"]
         allowed: Optional[Set[Edge]] = shared.get("allowed")
-
-        self.side = [sides.get(v) for v in order]
-        self.mate = [mates.get(v) for v in order]
-        self.out: List[Any] = [None] * n
-        self.finished = [False] * n
-
-        elig_t: List[List[int]] = []  # eligible target indices, ascending
-        for i in range(n):
-            si = self.side[i]
-            row: List[int] = []
-            if si is not None:
-                vid = order[i]
-                for e in A.row(i):
-                    u = tgt[e]
-                    other = self.side[u]
-                    if other is None or other == si:
-                        continue
-                    if (allowed is not None
-                            and edge_key(vid, order[u]) not in allowed):
-                        continue
-                    row.append(u)
-            elig_t.append(row)
-        self.elig_t = elig_t
-        # the node program's receive filter: eligible ids, plus the mate
-        accept: List[Set[int]] = []
-        for i in range(n):
-            ids = {order[u] for u in elig_t[i]}
-            if self.mate[i] is not None:
-                ids.add(self.mate[i])
-            accept.append(ids)
-        self.accept = accept
-
+        level = A.level.get(type(self))
+        if level is None or not level.matches(sides, allowed):
+            level = _Level(A, sides, allowed)
+            A.level[type(self)] = level
+        self.level = level
+        self.side = side = level.side
+        self.elig_t = elig_t = level.elig_t
+        self.ell: int = shared["ell"]
+        self.out = out = [None] * A.n
+        # non-participants halt at the start, with output None
+        self.finished = finished = list(level.idle)
+        # mates of participants (no other node's mate is ever read)
+        self.mate = mate = [None] * A.n
+        mates = shared["mate"]
+        order = A.order
         # in-flight wave: (sender index, target indices | None=mate, count)
         pending: List[Tuple[int, Optional[List[int]], int]] = []
-        live: List[int] = []
-        for i in range(n):
-            if self.side[i] is None or not elig_t[i]:
-                self.finished[i] = True  # non-participant: halt, output None
-            elif self.side[i] == X_SIDE and self.mate[i] is None:
-                self.out[i] = CountState(t=0, counts={}, total=1)
-                self.finished[i] = True  # free X: seed the wave and halt
+        unreached = 0
+        for i in level.participants:
+            m = mate[i] = mates.get(order[i])
+            if m is None and side[i] == X_SIDE:
+                out[i] = CountState(t=0, counts={}, total=1)
+                finished[i] = True  # free X: seed the wave and halt
                 pending.append((i, elig_t[i], 1))
             else:
-                live.append(i)
-        self.live = live
+                unreached += 1
+        #: participants the wave has not reached yet (they halt at ell)
+        self.unreached = unreached
         self.pending_msgs = pending
 
-    def step(self, round_number: int) -> int:
+    def _mate_target(self, i: int) -> int:
+        """The index of matched Y node ``i``'s mate, which must be a
+        neighbor: the engine's ``ProtocolError`` otherwise."""
         A = self.arrays
-        order = A.order
-        index = A.index
-        slot_of = self.net._slot_of
+        mid = self.mate[i]
+        t = A.index.get(mid)
+        if not A.adjacent(i, t):
+            raise ProtocolError(
+                f"node {A.order[i]} tried to message non-neighbor {mid}"
+            )
+        return t
+
+    def _accepts(self, t: int, s: int) -> bool:
+        """The node program's receive filter: ``t`` keeps an arrival from
+        ``s`` when ``s`` is its mate or an eligible neighbor (eligibility
+        is symmetric, so ``s``'s own row answers)."""
+        return self.mate[t] == self.arrays.order[s] or t in self.elig_t[s]
+
+    def step(self, round_number: int) -> int:
+        order = self.arrays.order
         finished = self.finished
-        accept = self.accept
         extra = 0
         messages = 0
         bits_sum = 0
@@ -203,13 +250,9 @@ class CountingKernel(RoundKernel):
         arrivals: Dict[int, Dict[int, int]] = {}
         for i, targets, value in self.pending_msgs:  # ascending sender
             sid = order[i]
-            if targets is None:  # matched Y forwarding along its mate edge
-                mid = self.mate[i]
-                if mid not in slot_of[sid]:
-                    raise ProtocolError(
-                        f"node {sid} tried to message non-neighbor {mid}"
-                    )
-                targets = (index[mid],)
+            mate_edge = targets is None
+            if mate_edge:  # matched Y forwarding along its mate edge
+                targets = (self._mate_target(i),)
             bits = int_bits(value)
             charge = self.charge(bits, sid, order[targets[0]])
             if charge > extra:
@@ -220,7 +263,9 @@ class CountingKernel(RoundKernel):
             if bits > max_bits:
                 max_bits = bits
             for t in targets:
-                if finished[t] or sid not in accept[t]:
+                # an X sender's targets are its eligible row, which every
+                # receiver accepts; the mate edge passes the filter itself
+                if finished[t] or (mate_edge and not self._accepts(t, i)):
                     continue  # discarded or filtered on receipt
                 box = arrivals.get(t)
                 if box is None:
@@ -232,69 +277,64 @@ class CountingKernel(RoundKernel):
         return extra
 
     def _absorb(self, arrivals: Dict[int, Dict[int, int]], r: int) -> None:
-        """Apply one round's accepted arrivals to the unreached frontier."""
-        finished = self.finished
+        """Apply one round's accepted arrivals (each reaches an unreached
+        participant) in ascending node order, the order of the wave."""
         ell = self.ell
         out = self.out
+        finished = self.finished
         side = self.side
         mate = self.mate
-        new_live: List[int] = []
+        elig_t = self.elig_t
+        # from round ell on the wave can no longer reach anyone: every
+        # participant still waiting halts
+        self.unreached = 0 if r >= ell else self.unreached - len(arrivals)
         new_pending: List[Tuple[int, Optional[List[int]], int]] = []
-        for i in self.live:
-            arr = arrivals.get(i)
-            if arr is None:
-                if r >= ell:
-                    finished[i] = True  # the wave can no longer reach us
-                else:
-                    new_live.append(i)
-                continue
+        for i in sorted(arrivals):
+            arr = arrivals[i]
             total = sum(arr.values())
             state = CountState(t=r, counts=arr, total=total)
             out[i] = state
             finished[i] = True
             if side[i] == X_SIDE:
-                new_pending.append((i, self.elig_t[i], total))
+                new_pending.append((i, elig_t[i], total))
             elif mate[i] is None:
                 state.early_free_y = r < ell
             elif r < ell:
                 new_pending.append((i, None, total))
-        self.live = new_live
         self.pending_msgs = new_pending
 
     # -- protocol surface ------------------------------------------------
     def unfinished(self) -> bool:
-        return bool(self.live)
+        return self.unreached > 0
 
     def pending(self) -> bool:
         return bool(self.pending_msgs)
 
     def outputs(self) -> Dict[int, Any]:
-        order = self.arrays.order
-        out = self.out
-        return {order[i]: out[i] for i in range(self.arrays.n)}
+        return dict(zip(self.arrays.order, self.out))
 
     # -- sharded fast path -------------------------------------------------
     # Counts ride (sender, target, value) records to the target's owner;
-    # the receive filter (finished / accept-set) runs entirely on the
-    # receiving worker, whose state for its own rows is authoritative.
-    # There is no randomness anywhere, so setup replication is trivial.
+    # the receive filter (finished, then mate or eligible sender) runs
+    # entirely on the receiving worker, whose state for its own rows is
+    # authoritative.  There is no randomness anywhere, so setup
+    # replication is trivial.
     shard_words = 3
 
     def shard_setup(self, shared: Dict[str, Any]) -> None:
         self.setup(shared)
         ctx = self.shard
         owner, w = ctx.owner, ctx.w
-        self.live = [i for i in self.live if owner[i] == w]
+        finished = self.finished
+        self.unreached = sum(1 for i in self.level.participants
+                             if owner[i] == w and not finished[i])
         self.pending_msgs = [p for p in self.pending_msgs
                              if owner[p[0]] == w]
         self._local_arrivals: List[Tuple[int, int, int]] = []
 
     def shard_publish(self, round_number: int) -> int:
         ctx = self.shard
-        A = self.arrays
-        order = A.order
-        index = A.index
-        slot_of = ctx.slot_of()
+        order = self.arrays.order
         owner, w = ctx.owner, ctx.w
         words = ctx.staged_words
         local = self._local_arrivals
@@ -306,12 +346,7 @@ class CountingKernel(RoundKernel):
             self.shard_pos = i
             sid = order[i]
             if targets is None:  # matched Y forwarding along its mate edge
-                mid = self.mate[i]
-                if mid not in slot_of[sid]:
-                    raise ProtocolError(
-                        f"node {sid} tried to message non-neighbor {mid}"
-                    )
-                targets = (index[mid],)
+                targets = (self._mate_target(i),)
             bits = int_bits(value)
             charge = self.charge(bits, sid, order[targets[0]])
             if charge > extra:
@@ -348,14 +383,11 @@ class CountingKernel(RoundKernel):
         # insertion order the in-process scan produces
         triples.sort(key=lambda rec: (rec[0], rec[1]))
         finished = self.finished
-        accept = self.accept
         arrivals: Dict[int, Dict[int, int]] = {}
         for s, t, value in triples:
-            if finished[t]:
+            if finished[t] or not self._accepts(t, s):
                 continue
             sid = order[s]
-            if sid not in accept[t]:
-                continue
             box = arrivals.get(t)
             if box is None:
                 box = {}

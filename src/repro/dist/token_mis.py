@@ -171,18 +171,16 @@ class TokenKernel(RoundKernel):
     def setup(self, shared: Dict[str, Any]) -> None:
         A = self.arrays
         order = A.order
-        side_map: Dict[int, Optional[int]] = shared["side"]
-        mate_map: Dict[int, Optional[int]] = shared["mate"]
-        state_map: Dict[int, Optional[CountState]] = shared["count_states"]
+        index = A.index
+        # the maps are read per node the walk touches, never packed: a
+        # walk visits O(leaders * ell) nodes of n
+        self.sides: Dict[int, Optional[int]] = shared["side"]
+        self.mates: Dict[int, Optional[int]] = shared["mate"]
+        self.states: Dict[int, Optional[CountState]] = shared["count_states"]
         self.ell: int = shared["ell"]
         self.value_cap: int = shared["value_cap"]
         self._collide = shared.get("collision_observer")
 
-        self.side: List[Optional[int]] = [side_map.get(v) for v in order]
-        self.mate: List[Optional[int]] = [mate_map.get(v) for v in order]
-        self.state: List[Optional[CountState]] = [
-            state_map.get(v) for v in order
-        ]
         self.token_id: List[Optional[int]] = [None] * A.n
         self.tok_next: List[Optional[int]] = [None] * A.n
         self.tok_prev: List[Optional[int]] = [None] * A.n
@@ -194,12 +192,18 @@ class TokenKernel(RoundKernel):
         #: sender-ascending by construction (nodes are processed in order)
         self.staged: List[Tuple[int, int, Tuple]] = []
 
-        for i in range(A.n):
-            st = self.state[i]
-            if not (self.side[i] == Y_SIDE and self.mate[i] is None
-                    and st is not None and st.t == self.ell
-                    and st.total > 0):
+        # leaders are nodes the counting pass reached: look among those
+        leaders: List[int] = []
+        for v, st in self.states.items():
+            if not (st is not None and st.t == self.ell and st.total > 0):
                 continue
+            i = index.get(v)
+            if (i is not None and self.sides.get(v) == Y_SIDE
+                    and self.mates.get(v) is None):
+                leaders.append(i)
+        leaders.sort()
+        for i in leaders:
+            st = self.states[order[i]]
             self.is_leader[i] = True
             r = self.rng(i)
             draw = sample_max_uniform(r, st.total, self.value_cap)
@@ -212,7 +216,6 @@ class TokenKernel(RoundKernel):
     def step(self, round_number: int) -> int:
         A = self.arrays
         index = A.index
-        slot_of = self.net._slot_of
         staged = self.staged
         self.staged = []
 
@@ -225,7 +228,8 @@ class TokenKernel(RoundKernel):
         tokens_at: Dict[int, List[Tuple[int, int, int]]] = {}
         confirms_at: Dict[int, List[int]] = {}
         for sender, target, payload in staged:
-            if target not in slot_of[sender]:
+            t = index.get(target)
+            if not A.adjacent(index[sender], t):
                 raise ProtocolError(
                     f"node {sender} tried to message non-neighbor {target}"
                 )
@@ -237,7 +241,6 @@ class TokenKernel(RoundKernel):
             bits_sum += bits
             if bits > max_bits:
                 max_bits = bits
-            t = index[target]
             if payload[0] == _TOKEN:
                 tokens_at.setdefault(t, []).append(
                     (sender, payload[1], payload[2]))
@@ -270,17 +273,18 @@ class TokenKernel(RoundKernel):
         self.token_id[t] = leader
         self.tok_next[t] = sender
         vid = order[t]
-        if self.side[t] == X_SIDE and self.mate[t] is None:
+        side = self.sides.get(vid)
+        mate = self.mates.get(vid)
+        if side == X_SIDE and mate is None:
             self.out[t] = {"mate": sender, "confirmed": False}
             self.confirmed[t] = True
             self.staged.append((vid, sender, (_CONFIRM, leader)))
             return
-        if self.side[t] == X_SIDE:
-            mate = self.mate[t]
+        if side == X_SIDE:
             self.tok_prev[t] = mate
             self.staged.append((vid, mate, (_TOKEN, value, leader)))
             return
-        st = self.state[t]
+        st = self.states.get(vid)
         assert st is not None, "token reached an uncounted node"
         prev = weighted_choice(self.rng(t), st.counts)
         self.tok_prev[t] = prev
@@ -292,7 +296,7 @@ class TokenKernel(RoundKernel):
             if leader != self.token_id[t] or self.confirmed[t]:
                 continue
             self.confirmed[t] = True
-            if self.side[t] == X_SIDE:
+            if self.sides.get(order[t]) == X_SIDE:
                 new_mate = self.tok_next[t]
             else:
                 new_mate = self.tok_prev[t]
@@ -311,11 +315,11 @@ class TokenKernel(RoundKernel):
         return bool(self.staged)
 
     def outputs(self) -> Dict[int, Any]:
-        order = self.arrays.order
         out = self.out
+        mates = self.mates
         return {
-            order[i]: out.get(i) or {"mate": self.mate[i], "confirmed": False}
-            for i in range(self.arrays.n)
+            v: out.get(i) or {"mate": mates.get(v), "confirmed": False}
+            for i, v in enumerate(self.arrays.order)
         }
 
     # -- sharded fast path -------------------------------------------------
@@ -335,8 +339,8 @@ class TokenKernel(RoundKernel):
 
     def shard_publish(self, round_number: int) -> int:
         ctx = self.shard
-        index = self.arrays.index
-        slot_of = ctx.slot_of()
+        A = self.arrays
+        index = A.index
         owner, w = ctx.owner, ctx.w
         words = ctx.staged_words
         local = self._local_arrivals
@@ -349,7 +353,8 @@ class TokenKernel(RoundKernel):
         for sender, target, payload in staged:  # ascending owned sender
             s = index[sender]
             self.shard_pos = s
-            if target not in slot_of[sender]:
+            t = index.get(target)
+            if not A.adjacent(s, t):
                 raise ProtocolError(
                     f"node {sender} tried to message non-neighbor {target}"
                 )
@@ -361,7 +366,6 @@ class TokenKernel(RoundKernel):
             bits_sum += bits
             if bits > max_bits:
                 max_bits = bits
-            t = index[target]
             if payload[0] == _TOKEN:
                 rec = (0, s, t, payload[1], index[payload[2]])
             else:
@@ -414,7 +418,8 @@ class TokenKernel(RoundKernel):
         order = self.arrays.order
         out = self.out
         return {
-            order[i]: out.get(i) or {"mate": self.mate[i], "confirmed": False}
+            order[i]: out.get(i) or {"mate": self.mates.get(order[i]),
+                                     "confirmed": False}
             for i in self.shard.owned
         }
 

@@ -74,6 +74,9 @@ class Graph:
         self._csr_cache_version = -1
         self.csr_cache_hits = 0
         self.csr_cache_misses = 0
+        # the 2-coloring, cached the same way (None: not bipartite)
+        self._split_cache: Optional[Tuple[Set[int], Set[int]]] = None
+        self._split_cache_version = -1
 
     # ------------------------------------------------------------------
     # construction
@@ -328,8 +331,17 @@ class Graph:
     def bipartition(self) -> Optional[Tuple[Set[int], Set[int]]]:
         """Return a 2-coloring ``(left, right)`` if bipartite, else ``None``.
 
-        Isolated nodes are placed on the left side.
+        Isolated nodes are placed on the left side.  The coloring is
+        cached per mutation version, like :meth:`to_csr`, and each call
+        returns fresh copies of the two sets.
         """
+        if self._split_cache_version != self._version:
+            self._split_cache = self._two_color()
+            self._split_cache_version = self._version
+        split = self._split_cache
+        return None if split is None else (set(split[0]), set(split[1]))
+
+    def _two_color(self) -> Optional[Tuple[Set[int], Set[int]]]:
         color: Dict[int, int] = {}
         for root in self.nodes:
             if root in color:

@@ -37,6 +37,7 @@ falling through to the ``node`` rung.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..dist.random_tools import _MASK64, _fold, _splitmix64
@@ -181,28 +182,36 @@ class VectorPasses:
         self.M = M
         self.q = max(1, cluster.working_budget // 8)
 
-        nodes = list(graph.nodes)  # sorted ids; determinism matters
-        node_index = {v: i for i, v in enumerate(nodes)}
-        self.num_nodes = len(nodes)
+        nodes = graph.nodes  # sorted ids; determinism matters
+        n = self.num_nodes = len(nodes)
+        # one walk over the sorted adjacency: each node's higher
+        # neighbors, ascending — Graph.edges() order, with u < v
+        us: List[Any] = []
+        vs: List[Any] = []
+        degree_up: List[int] = []
+        for u in nodes:
+            row = graph.neighbors(u)
+            upper = row[bisect_right(row, u):]
+            degree_up.append(len(upper))
+            us.extend([u] * len(upper))
+            vs.extend(upper)
         #: original-orientation edge list (``matching.add`` order source)
-        self.edges: List[Tuple[Any, Any]] = [(u, v)
-                                             for u, v, _ in graph.edges()]
+        self.edges: List[Tuple[Any, Any]] = list(zip(us, vs))
         m = len(self.edges)
         self.num_edges = m
         self.alive_count = m
 
-        # packed topology: endpoint *indices* for structure, sorted
-        # endpoint *ids* (uint64) for the splitmix64 priority chain
-        self.eu = np.fromiter((node_index[u] for u, _ in self.edges),
-                              dtype=np.int64, count=m)
-        self.ev = np.fromiter((node_index[v] for _, v in self.edges),
-                              dtype=np.int64, count=m)
-        self.pa = np.fromiter(
-            ((u if u <= v else v) & _MASK64 for u, v in self.edges),
-            dtype=np.uint64, count=m)
-        self.pb = np.fromiter(
-            ((v if u <= v else u) & _MASK64 for u, v in self.edges),
-            dtype=np.uint64, count=m)
+        # packed topology: endpoint *indices* for structure, and every id
+        # masked to 64 bits (as the scalar chain folds it, any int) for
+        # the splitmix64 priority chain; u < v, so (pa, pb) is already
+        # the sorted pair
+        position = {v: i for i, v in enumerate(nodes)}.__getitem__
+        self.eu = np.repeat(np.arange(n, dtype=np.int64), degree_up)
+        self.ev = np.fromiter(map(position, vs), dtype=np.int64, count=m)
+        masked = np.fromiter((v & _MASK64 for v in nodes), dtype=np.uint64,
+                             count=n)
+        self.pa = masked[self.eu]
+        self.pb = masked[self.ev]
         self.home = np.arange(m, dtype=np.int64) % M
         self.owner = np.arange(self.num_nodes, dtype=np.int64) % M
         self.alive = np.ones(m, dtype=bool)

@@ -225,6 +225,28 @@ class TestBipartition:
             g.add_edge(i, (i + 1) % 5)
         assert g.bipartition() is None
 
+    def test_mutation_between_calls_invalidates_the_cached_coloring(self):
+        g = Graph()
+        g.add_edge(0, 1)
+        g.add_edge(1, 2)
+        assert g.bipartition() == ({0, 2}, {1})
+        g.add_edge(0, 2)  # a triangle: no longer 2-colorable
+        assert g.bipartition() is None
+        g.remove_edge(0, 2)
+        assert g.bipartition() == ({0, 2}, {1})
+        g.add_node(7)  # isolated nodes go left
+        assert g.bipartition() == ({0, 2, 7}, {1})
+        g.remove_node(1)
+        assert g.bipartition() == ({0, 2, 7}, set())
+
+    def test_each_call_returns_fresh_sets(self):
+        g = Graph()
+        g.add_edge(0, 1)
+        left, right = g.bipartition()
+        left.add(99)
+        right.clear()
+        assert g.bipartition() == ({0}, {1})
+
 
 class TestBipartiteGraph:
     def test_sides(self):

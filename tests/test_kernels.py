@@ -40,11 +40,15 @@ from repro.congest import kernels
 from repro.dist.bipartite_counting import (
     X_SIDE,
     Y_SIDE,
+    CountingKernel,
     CountingNode,
     run_counting,
 )
+from repro.dist.bipartite_mcm import bipartite_mcm
+from repro.dist.general_mcm import general_mcm
 from repro.dist.israeli_itai import IsraeliItaiNode, israeli_itai
 from repro.dist.luby_mis import LubyMISNode, luby_mis
+from repro.dist.token_mis import run_token_selection
 from repro.dist.random_tools import (
     node_seed_from_prefix,
     node_stream_prefix,
@@ -52,7 +56,8 @@ from repro.dist.random_tools import (
     spawn_seed,
 )
 from repro.matching import Matching
-from repro.graphs import Graph, gnp, path_graph, random_bipartite
+from repro.graphs import Graph, edge_key, gnp, path_graph, random_bipartite
+from repro.observe.events import STRUCTURAL_KINDS
 
 
 def _metrics_tuple(m):
@@ -138,11 +143,71 @@ def _run_counting(execution, policy, seed, observe=None, ell=4):
     return frozen, _metrics_tuple(net.metrics)
 
 
+def _frozen_counts(outputs):
+    return tuple(
+        (v, None if s is None else (s.t, tuple(s.counts.items()), s.total,
+                                    s.early_free_y))
+        for v, s in sorted(outputs.items())
+    )
+
+
+def _observed(execution, policy, seed, graph):
+    """A network observed by every event kind but the per-message stream
+    (which would force per-node dispatch), and the observer."""
+    collect = Collect(kinds=STRUCTURAL_KINDS)
+    return Network(graph, policy=policy, seed=seed, execution=execution,
+                   observe=collect), collect
+
+
+def _event_stream(collect):
+    return [(type(e).__name__, dict(vars(e))) for e in collect.events]
+
+
+def _run_token_selection(execution, policy, seed):
+    """Two token passes (Section 3.2) on the count states of per-node
+    counting passes, so only the token protocol's tier varies."""
+    g, side, mate = _counting_instance(seed)
+    ell = 3
+    cap = (g.num_nodes * g.max_degree ** 2) ** 4
+    net, collect = _observed(execution, policy, seed, g)
+    reference = Network(g, policy=policy, seed=seed, execution="node")
+    applied = []
+    for _ in range(2):
+        states = run_counting(reference, side, mate, ell)
+        mate, paths = run_token_selection(net, side, mate, ell, states, cap)
+        applied.append(paths)
+    return (tuple(sorted(mate.items())), applied,
+            _metrics_tuple(net.metrics), _event_stream(collect))
+
+
+def _run_bipartite_mcm(execution, policy, seed):
+    g = random_bipartite(30, 30, 0.1, rng=seed)
+    net, collect = _observed(execution, policy, seed, g)
+    res = bipartite_mcm(g, k=3, seed=seed, network=net)
+    return (sorted(res.matching.edges()),
+            [vars(p) for p in res.stats.phases],
+            _metrics_tuple(net.metrics), _event_stream(collect))
+
+
+def _run_general_mcm(execution, policy, seed):
+    """Algorithm 4 re-samples ``side``/``allowed`` every iteration, so the
+    counting kernel's level state must be rebuilt between augmentations."""
+    g = gnp(36, 0.12, rng=seed)
+    net, collect = _observed(execution, policy, seed, g)
+    res = general_mcm(g, k=2, seed=seed, network=net)
+    return (sorted(res.matching.edges()), res.certified,
+            [vars(it) for it in res.iterations],
+            _metrics_tuple(net.metrics), _event_stream(collect))
+
+
 WORKLOADS = {
     "israeli_itai": (_run_israeli, [CONGEST, LOCAL]),
     "israeli_itai_constrained": (_run_israeli_constrained, [CONGEST]),
     "luby_mis": (_run_luby, [CONGEST, LOCAL]),
     "counting": (_run_counting, [PIPELINE, LOCAL]),
+    "token_selection": (_run_token_selection, [PIPELINE, LOCAL]),
+    "bipartite_mcm": (_run_bipartite_mcm, [PIPELINE, LOCAL]),
+    "general_mcm": (_run_general_mcm, [PIPELINE]),
 }
 
 MATRIX = [
@@ -250,6 +315,68 @@ class TestGoldenEquivalence:
         assert results["auto"] == results["node"]
         mis = results["auto"][0]
         assert all(not (u in mis and v in mis) for u, v, _ in g.edges())
+
+
+class TestLevelReuse:
+    """State built once, not once per run: the counting kernel reuses its
+    level state (sides, eligible rows, participants) while ``side`` and
+    ``allowed`` say the same thing — a caller may mutate either map in
+    place between runs — and a network builds its per-node tables only
+    for the steppers that read them."""
+
+    def _instance(self):
+        g, side, mate = _counting_instance(3)
+        allowed = {edge_key(u, v) for u, v, _ in g.edges()}
+        return g, side, mate, allowed
+
+    def _fresh(self, g, side, mate, allowed):
+        net = Network(g, policy=PIPELINE, seed=3, execution="node")
+        return _frozen_counts(run_counting(net, side, mate, 3, allowed))
+
+    def test_maps_mutated_in_place_between_runs(self):
+        g, side, mate, allowed = self._instance()
+        net = Network(g, policy=PIPELINE, seed=3)
+        assert _kernel_selected(net, CountingNode)
+        runs = []
+        for mutate in (None, "side", "allowed"):
+            if mutate == "side":  # the same dict object, new content
+                for v in sorted(side)[::3]:
+                    side[v] = None
+            elif mutate == "allowed":  # the same set object, new content
+                for e in sorted(allowed)[::2]:
+                    allowed.discard(e)
+            got = _frozen_counts(run_counting(net, side, mate, 3, allowed))
+            assert got == self._fresh(g, side, mate, allowed), mutate
+            runs.append(got)
+        # each mutation changed what the pass computes
+        assert runs[0] != runs[1] != runs[2]
+
+    def test_equal_content_reuses_the_level(self):
+        g, side, mate, allowed = self._instance()
+        net = Network(g, policy=PIPELINE, seed=3)
+        arrays = kernels.csr_arrays(net)
+        first = run_counting(net, side, mate, 3, allowed)
+        level = arrays.level[CountingKernel]
+        # equal copies of both maps and a new matching: the level holds
+        mate2 = dict(mate)
+        x = min(v for v in side if side[v] == X_SIDE and mate[v] is not None)
+        mate2[x] = mate2[mate[x]] = None
+        second = run_counting(net, dict(side), mate2, 3, set(allowed))
+        assert arrays.level[CountingKernel] is level
+        assert _frozen_counts(first) == self._fresh(g, side, mate, allowed)
+        assert (_frozen_counts(second)
+                == self._fresh(g, side, mate2, allowed))
+        run_counting(net, side, mate, 3, None)  # no restriction: rebuilt
+        assert arrays.level[CountingKernel] is not level
+
+    def test_kernel_runs_build_no_per_node_tables(self):
+        tables = ("_neighbor_cache", "_weight_cache", "_slot_of")
+        for execution in ("auto", "node"):
+            g = random_bipartite(20, 20, 0.15, rng=4)
+            net = Network(g, policy=PIPELINE, seed=4, execution=execution)
+            bipartite_mcm(g, k=2, seed=4, network=net)
+            built = [name for name in tables if name in vars(net)]
+            assert built == ([] if execution == "auto" else list(tables))
 
 
 def _run_luby_on(g, execution):

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.dist.random_tools import _MASK64, spawn_seed
-from repro.graphs import gnp, grid_graph, path_graph, random_bipartite
+from repro.graphs import Graph, gnp, grid_graph, path_graph, random_bipartite
 from repro.graphs.generators import power_law_graph, star_graph
 from repro.mpc import (
     MemoryExceeded,
@@ -96,6 +96,34 @@ class TestGoldenEquivalence:
             assert cn.metrics.snapshot() == cv.metrics.snapshot(), ctx
             # the structural event stream is identical, details included
             assert en == ev, ctx
+
+    @pytest.mark.parametrize("relabel", [
+        pytest.param(lambda v: -3 * v - 1, id="negative"),
+        pytest.param(lambda v: 2 ** 63 + 5 * v, id="from-2**63"),
+        # both signs, beyond int64 and beyond 2**64 in magnitude
+        pytest.param(lambda v: (v - 150) * 2 ** 60 + v, id="beyond-int64"),
+    ])
+    def test_node_ids_outside_the_usual_range(self, relabel):
+        # the priorities hash each id masked to 64 bits and the kernel
+        # packs ids into int64/uint64 arrays: any int id the tier accepts
+        # must give the node tier's run bit for bit
+        base = gnp(300, 0.02, rng=random.Random(11))
+        g = Graph()
+        g.add_nodes(relabel(v) for v in base.nodes)
+        for u, v, _ in base.edges():
+            g.add_edge(relabel(u), relabel(v))
+        assert unavailable_reason(g) is None
+        rn, cn, en = _run(g, 0.6, 2, "node")
+        rv, cv, ev = _run(g, 0.6, 2, "mpc_kernel")
+        assert rv.tier == "mpc_kernel"
+        assert sorted(rn.matching.edges()) == sorted(rv.matching.edges())
+        assert rn.matching.size > 0
+        assert (rn.supersteps, rn.iteration_stats, rn.delta_est,
+                rn.edge_decay, rn.peak_words) == (
+            rv.supersteps, rv.iteration_stats, rv.delta_est,
+            rv.edge_decay, rv.peak_words)
+        assert cn.metrics.snapshot() == cv.metrics.snapshot()
+        assert en == ev
 
     def test_counter_values_are_plain_python(self):
         # details are JSON-traced; numpy scalars must never leak out

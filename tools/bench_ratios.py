@@ -28,13 +28,16 @@ Suites (default: all of them, in this order):
     message trace is recorded only.  Traces go to a file in a temporary
     directory, as a recorded trace does.
 ``kernels``
-    ``israeli_itai``, ``luby_mis``, the bipartite ``counting`` pass and
-    ``token_mis`` selection, per-node ``node`` dispatch vs vectorized
-    ``kernel`` passes on 1,000-node graphs of mean degree 16, with numpy;
-    ``israeli_itai`` and ``luby_mis`` also on the pure-python fallback
-    (the other two kernels have no numpy branch, so their fallback row
-    would time the same code twice).  Targets: israeli_itai and luby_mis
-    >= 3x with numpy, >= 1.2x on the fallback.
+    ``israeli_itai``, ``luby_mis``, the bipartite ``counting`` pass,
+    ``token_mis`` selection and one whole ``bipartite_mcm(k=2)`` call
+    (Theorem 3.10: counting and token passes alternating on one network,
+    where the counting kernel reuses its level state from run to run),
+    per-node ``node`` dispatch vs vectorized ``kernel`` passes on
+    1,000-node graphs of mean degree 16, with numpy; ``israeli_itai`` and
+    ``luby_mis`` also on the pure-python fallback (the other kernels have
+    no numpy branch, so their fallback row would time the same code
+    twice).  Targets: israeli_itai and luby_mis >= 3x with numpy, >= 1.2x
+    on the fallback.
 ``shards``
     ``israeli_itai`` and ``luby_mis``, in-process ``kernel`` vs
     ``sharded-kernel`` at 1, 2 and 4 shards on gnp(10000, degree 16).
@@ -102,6 +105,7 @@ from repro.congest import (
     kernels,
 )
 from repro.dist.bipartite_counting import X_SIDE, Y_SIDE, run_counting
+from repro.dist.bipartite_mcm import bipartite_mcm
 from repro.dist.israeli_itai import israeli_itai
 from repro.dist.luby_mis import luby_mis
 from repro.dist.token_mis import run_token_selection
@@ -392,11 +396,16 @@ def kernel_rows(n: int = 1000) -> List[Row]:
                                                 states, cap)
         return tuple(sorted(new_mate.items())), applied
 
+    def mcm(net):
+        return frozenset(bipartite_mcm(bip, k=2, network=net)
+                         .matching.edges())
+
     gnp_build = partial(Network, g, policy=CONGEST, seed=7)
     bip_build = partial(Network, bip, policy=PIPELINE, seed=7)
     gnp_name = f"gnp({n}, degree {KERNEL_DEGREE})"
-    bip_name = (f"random_bipartite({n // 2}, {n // 2}, degree "
-                f"{KERNEL_DEGREE}), greedy matching, ell={ell}")
+    bip_graph = (f"random_bipartite({n // 2}, {n // 2}, degree "
+                 f"{KERNEL_DEGREE})")
+    bip_name = f"{bip_graph}, greedy matching, ell={ell}"
     # the last field: the kernel has a numpy branch.  Only such a kernel
     # is gated, and only it runs different code on the fallback.
     workloads = [
@@ -404,6 +413,7 @@ def kernel_rows(n: int = 1000) -> List[Row]:
         ("luby_mis", gnp_name, gnp_build, mis_nodes, True),
         ("counting", bip_name, bip_build, counting, False),
         ("token_mis", bip_name, bip_build, token_mis, False),
+        ("bipartite_mcm", f"{bip_graph}, k=2", bip_build, mcm, False),
     ]
     rows = []
     for mode, target in (("numpy", 3.0), ("fallback", 1.2)):
