@@ -42,8 +42,9 @@ Quick start::
     print(result.trace_path, result.profile)
 
     # pick how protocols execute with one knob: a tier name or a full plan
-    result = run("mcm", graph, eps=0.25, execution="sharded-kernel")
-    result = run("mcm", graph, eps=0.25,
+    # (Israeli-Itai, behind "maximal", is the protocol shard workers run)
+    result = run("maximal", graph, execution="sharded-kernel")
+    result = run("maximal", graph,
                  execution=ExecutionPlan(tier="auto", shards=4))
 
     # dynamic graphs: stream updates through the same facade...
@@ -97,7 +98,7 @@ from .graphs import BipartiteGraph, Graph
 from .matching import Matching
 from .stream import EdgeUpdate, MatchingService, StreamResult
 
-__version__ = "7.1.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "ALGORITHMS",

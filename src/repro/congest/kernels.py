@@ -34,11 +34,13 @@ kernel-tier gates):
   :class:`~repro.congest.policies.BandwidthPolicy` (subclasses might price
   per edge, which kernels memoize away).
 
-Kernels also power the **sharded** fast path: a kernel that declares
-``shard_words > 0`` and implements the ``shard_*`` hooks runs *inside*
-shard worker processes (:mod:`repro.congest.sharding`), with a
-:class:`ShardContext` supplying worker-local staging, index translation
-and zero-copy halo record views in place of the Network.
+Kernels also power the **sharded** fast path, for exactly one audited
+kernel: :class:`~repro.dist.israeli_itai.IsraeliItaiKernel` declares
+``shard_words > 0`` and implements the ``shard_*`` hooks, so it runs
+*inside* shard worker processes (:mod:`repro.congest.sharding`), with a
+:class:`ShardContext` supplying int64 record staging and zero-copy halo
+record views in place of the Network.  Every other kernel runs
+in-process only.
 
 numpy is optional: kernels use it for bulk array passes when importable and
 fall back to tight pure-python array code otherwise (``_np`` is the module
@@ -100,11 +102,6 @@ def kernel_for(factory: Any) -> Optional[Type["RoundKernel"]]:
         return _REGISTRY.get(factory)
     except TypeError:  # unhashable factory object
         return None
-
-
-def registered_kernels() -> Dict[Any, Type["RoundKernel"]]:
-    """A snapshot of the kernel registry (node class -> kernel class)."""
-    return dict(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -186,51 +183,23 @@ def csr_arrays(net: Network) -> CSRArrays:
 # shard-worker context: the kernel's world inside a worker process
 # ---------------------------------------------------------------------------
 
-#: Sentinel record word marking "the real value lives in the blob side
-#: channel" (values outside ``(-2**62, 2**62)`` cannot ride an int64 word
-#: safely, so they are codec-encoded into the segment's blob instead).
-SHARD_BLOB = -(2 ** 62)
-
-
-class ShardBlobReader:
-    """Sequential cursor over one peer segment's overflow blob.
-
-    Records reference blob entries *in order*: resolving a segment's
-    sentinel words front to back with one reader yields each oversized
-    value exactly once.
-    """
-
-    __slots__ = ("view", "pos")
-
-    def __init__(self, view: Any) -> None:
-        self.view = view
-        self.pos = 0
-
-    def take(self) -> Any:
-        from .sharding import decode_payload
-
-        obj, self.pos = decode_payload(self.view, self.pos)
-        return obj
-
-
 class ShardContext:
     """Worker-side services for a kernel's sharded fast path.
 
-    Built once per worker (static translation tables persist across
-    runs) and handed to :meth:`RoundKernel.shard_build` in place of the
-    :class:`Network`.  A kernel running in shard mode sees the full CSR
-    snapshot (``arrays`` covers all n nodes) but only *advances* the
-    nodes this worker owns; cross-shard effects travel as fixed-width
-    int64 records staged via :meth:`stage_value`/``staged_words`` and
-    arrive as zero-copy views in :attr:`incoming`.
+    Built once per worker and handed to :meth:`RoundKernel.shard_build`
+    in place of the :class:`Network`.  A kernel running in shard mode
+    sees the full CSR snapshot (``arrays`` covers all n nodes) but only
+    *advances* the nodes this worker owns; cross-shard effects travel as
+    fixed-width int64 records appended to ``staged_words`` and arrive as
+    zero-copy views in :attr:`incoming`.
 
-    Per-round state: ``staged_words[d]``/``staged_blobs[d]`` accumulate
-    the records for destination shard ``d`` during ``shard_publish``;
-    ``incoming`` holds ``(peer, words, blob)`` triples during
-    ``shard_apply`` (``words`` is an int64 numpy view directly over the
-    peer's shared-memory block, or a ``memoryview`` cast in fallback
-    mode); ``messages``/``bits``/``max_bits`` accumulate the traffic
-    this worker priced (folded into the coordinator's Metrics).
+    Per-round state: ``staged_words[d]`` accumulates the records for
+    destination shard ``d`` during ``shard_publish``; ``incoming`` holds
+    ``(peer, words)`` pairs during ``shard_apply`` (``words`` is an int64
+    numpy view directly over the peer's shared-memory block, or a
+    ``memoryview`` cast in fallback mode); ``messages``/``bits``/
+    ``max_bits`` accumulate the traffic this worker priced (folded into
+    the coordinator's Metrics).
     """
 
     def __init__(self, arrays: "CSRArrays", worker: int, shards: int,
@@ -241,7 +210,6 @@ class ShardContext:
         self.k = shards
         self.owner = owner
         self.owned = owned
-        self.n = arrays.n
         self.policy = policy
         self.charge_cache = charge_cache
         #: per-run node-id -> random.Random factory (set by the worker
@@ -249,20 +217,9 @@ class ShardContext:
         self.node_rng: Optional[Callable[[int], random.Random]] = None
         #: record width of the active kernel (set by the worker)
         self.record_width = 1
-        if arrays.np is not None:
-            self.np_owner = arrays.np.array(owner, dtype=arrays.np.int64)
-            self.np_owned_mask = self.np_owner == worker
-        else:
-            self.np_owner = None
-            self.np_owned_mask = None
-        self._peers: Optional[Dict[int, Tuple[int, ...]]] = None
-        self._cut_in: Optional[Dict[int, List[int]]] = None
-        self._slots: Optional[Dict[int, Dict[int, int]]] = None
         # per-round staging and traffic accumulators
         self.staged_words: List[Any] = [array("q") for _ in range(shards)]
-        self.staged_blobs: List[bytearray] = [
-            bytearray() for _ in range(shards)]
-        self.incoming: List[Tuple[int, Any, Any]] = []
+        self.incoming: List[Tuple[int, Any]] = []
         self.messages = 0
         self.bits = 0
         self.max_bits = 0
@@ -278,8 +235,6 @@ class ShardContext:
     def clear_staged(self) -> None:
         for words in self.staged_words:
             del words[:]
-        for blob in self.staged_blobs:
-            del blob[:]
 
     def add_traffic(self, messages: int, total_bits: int,
                     max_message_bits: int) -> None:
@@ -288,78 +243,6 @@ class ShardContext:
         self.bits += total_bits
         if max_message_bits > self.max_bits:
             self.max_bits = max_message_bits
-
-    # -- record staging --------------------------------------------------
-    def stage_value(self, dest: int, value: Any) -> int:
-        """The record word carrying ``value`` to shard ``dest``.
-
-        Plain ints in the int64-safe range ride the word directly;
-        anything else is codec-encoded into the destination's blob and
-        represented by the :data:`SHARD_BLOB` sentinel (the receiver
-        resolves sentinels in order via :meth:`blob_reader`)."""
-        if type(value) is int and SHARD_BLOB < value < -SHARD_BLOB:
-            return value
-        from .sharding import encode_payload
-
-        encode_payload(self.staged_blobs[dest], value)
-        return SHARD_BLOB
-
-    def blob_reader(self, blob: Any) -> ShardBlobReader:
-        return ShardBlobReader(blob)
-
-    def resolve(self, word: int, reader: ShardBlobReader) -> Any:
-        """The value behind one record word (see :meth:`stage_value`)."""
-        return reader.take() if word == SHARD_BLOB else word
-
-    # -- static translation tables (lazy, cached across runs) ------------
-    def peers_of(self) -> Dict[int, Tuple[int, ...]]:
-        """Owned node index -> ascending peer shards it has cut edges to
-        (nodes with no cut edges are absent — use ``.get(i, ())``)."""
-        peers = self._peers
-        if peers is None:
-            arrays, owner, w = self.arrays, self.owner, self.w
-            tgt = arrays.tgt
-            peers = {}
-            for i in self.owned:
-                seen = 0
-                for e in arrays.row(i):
-                    seen |= 1 << owner[tgt[e]]
-                seen &= ~(1 << w)
-                if seen:
-                    peers[i] = tuple(d for d in range(self.k)
-                                     if (seen >> d) & 1)
-            self._peers = peers
-        return peers
-
-    def cut_slots_in(self) -> Dict[int, List[int]]:
-        """Remote node index -> ascending owned slots targeting it (the
-        owned side of every cut edge, grouped by the remote endpoint)."""
-        cut = self._cut_in
-        if cut is None:
-            arrays, owner, w = self.arrays, self.owner, self.w
-            tgt = arrays.tgt
-            cut = {}
-            for i in self.owned:
-                for e in arrays.row(i):
-                    j = tgt[e]
-                    if owner[j] != w:
-                        cut.setdefault(j, []).append(e)
-            self._cut_in = cut
-        return cut
-
-    def slot_of(self) -> Dict[int, Dict[int, int]]:
-        """Owned node id -> {neighbor id: global slot} — the shard-local
-        replica of ``Network._slot_of`` (owned rows only)."""
-        table = self._slots
-        if table is None:
-            arrays = self.arrays
-            order, tgt = arrays.order, arrays.tgt
-            table = {}
-            for i in self.owned:
-                table[order[i]] = {order[tgt[e]]: e
-                                   for e in arrays.row(i)}
-            self._slots = table
-        return table
 
 
 # ---------------------------------------------------------------------------
@@ -401,31 +284,22 @@ class RoundKernel:
     #: mirror of the node program's ``passive`` flag: True enables the
     #: engine's quiescence rule (nothing in flight and nobody will speak)
     passive: bool = False
-    #: shard-safety declaration for :mod:`repro.congest.sharding`: True
-    #: promises that the registered *node program* (not the kernel) keeps
-    #: all mutable state node-local, treats ``shared`` and its inbox as
-    #: read-only, and sends only plain-data payloads (None, bools, ints,
-    #: floats, strings and nested tuples/lists/dicts/sets) — the contract
-    #: that makes partitioned multi-process execution golden-equivalent.
-    #: The default is False: shard safety is declared per audited kernel,
-    #: never inherited, so a new kernel cannot be forked across processes
-    #: before someone has checked its node program against the contract.
-    shardable: bool = False
-    #: int64 words per halo record on the sharded-kernel fast path; 0
-    #: means the kernel has no shard hooks and never runs sharded, even
-    #: when ``shardable`` is True.
+    #: int64 words per halo record on the sharded-kernel fast path.  A
+    #: value above 0 is the shard-safety declaration for
+    #: :mod:`repro.congest.sharding`: it promises that the kernel
+    #: implements the ``shard_*`` hooks and that the registered *node
+    #: program* keeps all mutable state node-local and treats ``shared``
+    #: and its inbox as read-only — the contract that makes partitioned
+    #: multi-process execution golden-equivalent.  The default 0 never
+    #: shards: the declaration is made per audited kernel, never
+    #: inherited, and only :class:`~repro.dist.israeli_itai.
+    #: IsraeliItaiKernel` makes it.
     shard_words: int = 0
 
     def __init__(self, net: Network) -> None:
         self.net = net
         self.arrays = csr_arrays(net)
         self._rngs: List[Optional[random.Random]] = [None] * self.arrays.n
-        #: the :class:`ShardContext` when running inside a shard worker,
-        #: else None
-        self.shard: Optional[ShardContext] = None
-        #: global order position of the node being processed — shard
-        #: workers report it for first-error attribution (min phase/pos)
-        self.shard_pos = 0
         self._node_rng = net.node_rng
         self._policy = net.policy
         self._charge_cache = net._charge_cache
@@ -444,7 +318,10 @@ class RoundKernel:
         self.net = None
         self.arrays = ctx.arrays
         self._rngs = [None] * ctx.arrays.n
+        #: the worker-side services standing in for the Network
         self.shard = ctx
+        #: global order position of the node being processed — the
+        #: worker reports it for first-error attribution (min phase/pos)
         self.shard_pos = 0
         self._node_rng = ctx.node_rng
         self._policy = ctx.policy
@@ -453,10 +330,6 @@ class RoundKernel:
         return self
 
     # -- services for subclasses ----------------------------------------
-    def accepts(self) -> bool:
-        """Last-chance veto: False sends this run down the per-node path."""
-        return True
-
     def rng(self, i: int) -> random.Random:
         """Node index ``i``'s private stream (lazily created, persistent).
 

@@ -313,8 +313,9 @@ class Network(Observable):
             result = executor.execute(decision.kernel_cls, protocol, shared,
                                       limit, on_round_end)
         else:
-            stepper = decision.kernel or _NodeStepper(self, factory,
-                                                      protocol)
+            kernel_cls = decision.kernel_cls
+            stepper = (kernel_cls(self) if kernel_cls is not None
+                       else _NodeStepper(self, factory, protocol))
             result = self._drive(stepper, protocol, shared, limit,
                                  on_round_end)
         result.metrics = self.metrics.delta_since(before)

@@ -9,7 +9,7 @@ execution tier.  Pickling happens exactly twice per run: the
 ``(kernel, shared)`` dispatch at the start and the output gather at the
 end.
 
-Each worker executes its slice of a registered
+Each worker executes its slice of an audited
 :class:`~repro.congest.kernels.RoundKernel`'s vectorized fast path over
 the full CSR snapshot (setup is replicated — per-node rng streams are
 independent, so every worker derives the identical global start state,
@@ -17,11 +17,10 @@ then only advances the nodes it owns).  Only the effects that cross the
 cut — the **halo** — are exchanged between workers, as fixed-width int64
 *records* in ``multiprocessing.shared_memory`` blocks.  Peers map those
 records as numpy views built directly on the publisher's block —
-zero-copy, no per-round re-pack — and rare oversized integers overflow
-into a side-channel blob per segment, written with a compact binary codec
-(:func:`encode_payload`).  See :class:`~repro.congest.kernels.
-ShardContext` for the worker-side services and each kernel's ``shard_*``
-hooks for the per-protocol record layouts.
+zero-copy, no per-round re-pack.  See :class:`~repro.congest.kernels.
+ShardContext` for the worker-side services and
+:class:`~repro.dist.israeli_itai.IsraeliItaiKernel`'s ``shard_*`` hooks
+for the record layout.
 
 The executor is **golden-equivalent** to the single-process engine:
 identical outputs, round counts, :class:`~repro.runtime.metrics.Metrics`
@@ -53,16 +52,17 @@ not the round, for an apply-phase error).
 
 Shard safety is *declared*, not inferred: a protocol is eligible only
 when its node class has a registered :class:`~repro.congest.kernels.
-RoundKernel` whose ``shardable`` flag is True and which implements the
-shard hooks (``shard_words > 0``) — the curated promise that the node
-program keeps all state node-local and never mutates ``shared``.
+RoundKernel` that declares ``shard_words > 0`` — the curated promise that
+the kernel implements the shard hooks and that its node program keeps
+all state node-local and never mutates ``shared``.  One kernel makes it:
+:class:`~repro.dist.israeli_itai.IsraeliItaiKernel`.  Every other
+protocol resolves to the in-process kernel tier.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import struct
 import uuid
 import weakref
 from array import array
@@ -204,115 +204,6 @@ def partition_graph(graph: Any, shards: int, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# halo payload codec
-# ---------------------------------------------------------------------------
-# One-byte type tag followed by a fixed or length-prefixed body.  Covers
-# exactly the plain-data payload universe the pricing model knows
-# (payload_bits_fast); anything else raises ShardingError.  dicts
-# round-trip in insertion order; sets re-insert in iteration order.
-
-_T_NONE, _T_TRUE, _T_FALSE = 0, 1, 2
-_T_INT_POS, _T_INT_NEG, _T_FLOAT, _T_STR = 3, 4, 5, 6
-_T_TUPLE, _T_LIST, _T_DICT, _T_SET, _T_FROZENSET = 7, 8, 9, 10, 11
-
-_pack_q = struct.Struct("<q").pack
-_pack_d = struct.Struct("<d").pack
-_unpack_q = struct.Struct("<q").unpack_from
-_unpack_d = struct.Struct("<d").unpack_from
-
-
-def encode_payload(buf: bytearray, obj: Any) -> None:
-    """Append the binary encoding of ``obj`` to ``buf``."""
-    t = type(obj)
-    if obj is None:
-        buf.append(_T_NONE)
-    elif t is bool:
-        buf.append(_T_TRUE if obj else _T_FALSE)
-    elif t is int:
-        if obj >= 0:
-            buf.append(_T_INT_POS)
-            mag = obj
-        else:
-            buf.append(_T_INT_NEG)
-            mag = -obj
-        raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
-        buf += _pack_q(len(raw))
-        buf += raw
-    elif t is float:
-        buf.append(_T_FLOAT)
-        buf += _pack_d(obj)
-    elif t is str:
-        raw = obj.encode("utf-8")
-        buf.append(_T_STR)
-        buf += _pack_q(len(raw))
-        buf += raw
-    elif t is tuple or t is list or t is set or t is frozenset:
-        buf.append({tuple: _T_TUPLE, list: _T_LIST,
-                    set: _T_SET, frozenset: _T_FROZENSET}[t])
-        buf += _pack_q(len(obj))
-        for member in obj:
-            encode_payload(buf, member)
-    elif t is dict:
-        buf.append(_T_DICT)
-        buf += _pack_q(len(obj))
-        for key, value in obj.items():
-            encode_payload(buf, key)
-            encode_payload(buf, value)
-    else:
-        raise ShardingError(
-            f"halo codec cannot encode payload of type {t.__name__}; "
-            f"shardable protocols must send plain data")
-
-
-def decode_payload(view: Any, pos: int) -> Tuple[Any, int]:
-    """Decode one payload from ``view`` at ``pos``; return (obj, new pos)."""
-    tag = view[pos]
-    pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_INT_POS or tag == _T_INT_NEG:
-        (length,) = _unpack_q(view, pos)
-        pos += 8
-        mag = int.from_bytes(view[pos:pos + length], "little")
-        return (mag if tag == _T_INT_POS else -mag), pos + length
-    if tag == _T_FLOAT:
-        (value,) = _unpack_d(view, pos)
-        return value, pos + 8
-    if tag == _T_STR:
-        (length,) = _unpack_q(view, pos)
-        pos += 8
-        return bytes(view[pos:pos + length]).decode("utf-8"), pos + length
-    if tag in (_T_TUPLE, _T_LIST, _T_SET, _T_FROZENSET):
-        (count,) = _unpack_q(view, pos)
-        pos += 8
-        items = []
-        for _ in range(count):
-            obj, pos = decode_payload(view, pos)
-            items.append(obj)
-        if tag == _T_TUPLE:
-            return tuple(items), pos
-        if tag == _T_LIST:
-            return items, pos
-        if tag == _T_SET:
-            return set(items), pos
-        return frozenset(items), pos
-    if tag == _T_DICT:
-        (count,) = _unpack_q(view, pos)
-        pos += 8
-        out: Dict[Any, Any] = {}
-        for _ in range(count):
-            key, pos = decode_payload(view, pos)
-            value, pos = decode_payload(view, pos)
-            out[key] = value
-        return out, pos
-    raise ShardingError(f"halo codec: unknown tag {tag}")
-
-
-# ---------------------------------------------------------------------------
 # shared-memory layout
 # ---------------------------------------------------------------------------
 # The meta block is int64 words: [CMD] then k rows of _S_COLS stats words.
@@ -330,7 +221,7 @@ _S_MESSAGES = 3
 _S_BITS = 4
 _S_MAX_BITS = 5
 _S_EXTRA = 6           # pipelining charge (max over this worker's messages)
-_S_HALO_BITS = 7       # 8 * encoded halo bytes published this round
+_S_HALO_BITS = 7       # 8 * halo bytes published this round
 _S_ANY_OUT = 8
 _S_ALL_PASSIVE = 9
 _S_ANY_UNFINISHED = 10
@@ -414,8 +305,8 @@ class _ShardWorker:
     # -- one protocol run --------------------------------------------------
     def _kernel_context(self) -> Any:
         """The cached :class:`~repro.congest.kernels.ShardContext` for this
-        worker (static translation tables persist across runs; per-run
-        state is reset by ``begin_round``/``shard_build``)."""
+        worker (the CSR arrays persist across runs; per-run state is
+        reset by ``begin_round``/``shard_build``)."""
         from . import kernels as _kernels
 
         arrays = self._arrays
@@ -526,31 +417,17 @@ class _ShardWorker:
         """Write staged kernel records into my halo block; return
         ``(halo_bits, record_count)``.
 
-        Per-destination segment layout (8-aligned)::
-
-            [n_words:q][words: n_words * q][blob_len:q][blob][pad]
-
-        ``words`` is the destination's flat record stream (fixed width
-        ``ctx.record_width`` per record); ``blob`` carries codec-encoded
-        overflow values referenced by sentinel words.  Peers map the
-        words zero-copy (:meth:`_load_incoming`).
+        Block layout: ``k + 1`` int64 segment offsets, then one segment
+        per destination — its flat record stream of int64 words (fixed
+        width ``ctx.record_width`` per record), so a segment's length is
+        its offset span.  Peers map the words zero-copy
+        (:meth:`_load_incoming`).
         """
         k = self.k
         header = 8 * (k + 1)
         staged_words = ctx.staged_words
-        staged_blobs = ctx.staged_blobs
-        seg_sizes = [0] * k
-        total = 0
-        for d in range(k):
-            if d == self.w:
-                continue
-            words = staged_words[d]
-            blob = staged_blobs[d]
-            if not words and not blob:
-                continue
-            size = (16 + 8 * len(words) + len(blob) + 7) & ~7
-            seg_sizes[d] = size
-            total += size
+        total = 8 * sum(len(staged_words[d]) for d in range(k)
+                        if d != self.w)
         need = header + total
         if need > self.halo_cap:
             new_cap = max(self.halo_cap * 2, need)
@@ -569,36 +446,24 @@ class _ShardWorker:
         offsets = memoryview(buf)[:header].cast("q")
         pos = 0
         offsets[0] = 0
-        records = 0
-        width = ctx.record_width
         for d in range(k):
-            size = seg_sizes[d]
-            if size:
-                words = staged_words[d]
-                blob = staged_blobs[d]
-                base = header + pos
-                buf[base:base + 8] = _pack_q(len(words))
+            words = staged_words[d]
+            if d != self.w and words:
                 raw = words.tobytes()
-                buf[base + 8:base + 8 + len(raw)] = raw
-                tail = base + 8 + len(raw)
-                buf[tail:tail + 8] = _pack_q(len(blob))
-                if blob:
-                    buf[tail + 8:tail + 8 + len(blob)] = blob
-                records += len(words) // width
-                pos += size
+                buf[header + pos:header + pos + len(raw)] = raw
+                pos += len(raw)
             offsets[d + 1] = pos
         offsets.release()
         self.stat(_S_HALO_GEN, self.halo_gen)
-        return 8 * total, records
+        return 8 * total, total // (8 * ctx.record_width)
 
     def _load_incoming(self, ctx: Any, views: List[Any]) -> None:
         """Attach peers' published segments as zero-copy views.
 
-        Word records become int64 numpy views built directly on the
-        publisher's shared-memory buffer (a plain ``memoryview.cast``
-        in fallback mode); the blob is handed over as a memoryview.
-        Nothing is copied or decoded until the kernel touches it.  All
-        views are registered in ``views`` and released after apply —
+        Each segment becomes an int64 numpy view built directly on the
+        publisher's shared-memory buffer (a plain ``memoryview.cast`` in
+        fallback mode); nothing is copied until the kernel touches it.
+        All views are registered in ``views`` and released after apply —
         before any peer could resize (and unlink) its generation.
         """
         from . import kernels as _kernels
@@ -625,19 +490,12 @@ class _ShardWorker:
                 continue
             seg = memoryview(buf)[header + lo:header + hi]
             views.append(seg)
-            (n_words,) = _unpack_q(seg, 0)
-            word_view = seg[8:8 + 8 * n_words]
-            views.append(word_view)
             if _kernels._np is not None:
-                words = _kernels._np.frombuffer(word_view,
-                                                dtype=_kernels._np.int64)
+                words = _kernels._np.frombuffer(seg, dtype=_kernels._np.int64)
             else:
-                words = word_view.cast("q")
+                words = seg.cast("q")
                 views.append(words)
-            (blob_len,) = _unpack_q(seg, 8 + 8 * n_words)
-            blob = seg[16 + 8 * n_words:16 + 8 * n_words + blob_len]
-            views.append(blob)
-            incoming.append((p, words, blob))
+            incoming.append((p, words))
 
     @staticmethod
     def _release_views(views: List[Any]) -> None:

@@ -19,7 +19,7 @@ numbers in O(log n)-bit chunks costs (the mechanism of Lemma 3.9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..congest.kernels import CSRArrays, RoundKernel, register_kernel
@@ -185,8 +185,6 @@ class CountingKernel(RoundKernel):
     """
 
     passive = True
-    # audited: node-local state, read-only shared, (tag, count) payloads
-    shardable = True
 
     def setup(self, shared: Dict[str, Any]) -> None:
         A = self.arrays
@@ -312,93 +310,6 @@ class CountingKernel(RoundKernel):
 
     def outputs(self) -> Dict[int, Any]:
         return dict(zip(self.arrays.order, self.out))
-
-    # -- sharded fast path -------------------------------------------------
-    # Counts ride (sender, target, value) records to the target's owner;
-    # the receive filter (finished, then mate or eligible sender) runs
-    # entirely on the receiving worker, whose state for its own rows is
-    # authoritative.  There is no randomness anywhere, so setup
-    # replication is trivial.
-    shard_words = 3
-
-    def shard_setup(self, shared: Dict[str, Any]) -> None:
-        self.setup(shared)
-        ctx = self.shard
-        owner, w = ctx.owner, ctx.w
-        finished = self.finished
-        self.unreached = sum(1 for i in self.level.participants
-                             if owner[i] == w and not finished[i])
-        self.pending_msgs = [p for p in self.pending_msgs
-                             if owner[p[0]] == w]
-        self._local_arrivals: List[Tuple[int, int, int]] = []
-
-    def shard_publish(self, round_number: int) -> int:
-        ctx = self.shard
-        order = self.arrays.order
-        owner, w = ctx.owner, ctx.w
-        words = ctx.staged_words
-        local = self._local_arrivals
-        extra = 0
-        messages = 0
-        bits_sum = 0
-        max_bits = 0
-        for i, targets, value in self.pending_msgs:  # ascending owned sender
-            self.shard_pos = i
-            sid = order[i]
-            if targets is None:  # matched Y forwarding along its mate edge
-                targets = (self._mate_target(i),)
-            bits = int_bits(value)
-            charge = self.charge(bits, sid, order[targets[0]])
-            if charge > extra:
-                extra = charge
-            cnt = len(targets)
-            messages += cnt
-            bits_sum += bits * cnt
-            if bits > max_bits:
-                max_bits = bits
-            for t in targets:
-                d = owner[t]
-                if d == w:
-                    local.append((i, t, value))
-                else:
-                    sw = words[d]
-                    sw.append(i)
-                    sw.append(t)
-                    sw.append(ctx.stage_value(d, value))
-        self.record_traffic(messages, bits_sum, max_bits)
-        self.pending_msgs = []
-        return extra
-
-    def shard_apply(self, round_number: int) -> None:
-        ctx = self.shard
-        order = self.arrays.order
-        triples = self._local_arrivals
-        self._local_arrivals = []
-        for _peer, wordsv, blob in ctx.incoming:
-            reader = ctx.blob_reader(blob)
-            for off in range(0, len(wordsv), 3):
-                triples.append((int(wordsv[off]), int(wordsv[off + 1]),
-                                ctx.resolve(int(wordsv[off + 2]), reader)))
-        # ascending global sender: each arrival box fills in the same
-        # insertion order the in-process scan produces
-        triples.sort(key=lambda rec: (rec[0], rec[1]))
-        finished = self.finished
-        arrivals: Dict[int, Dict[int, int]] = {}
-        for s, t, value in triples:
-            if finished[t] or not self._accepts(t, s):
-                continue
-            sid = order[s]
-            box = arrivals.get(t)
-            if box is None:
-                box = {}
-                arrivals[t] = box
-            box[sid] = value
-        self._absorb(arrivals, round_number)
-
-    def shard_outputs(self) -> Dict[int, Any]:
-        order = self.arrays.order
-        out = self.out
-        return {order[i]: out[i] for i in self.shard.owned}
 
 
 def run_counting(network: Network, side: Dict[int, Optional[int]],

@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..congest.kernels import RoundKernel, register_kernel
 from ..congest.network import Network
-from ..congest.node import BROADCAST, Inbox, NodeAlgorithm, NodeContext, Outbox
+from ..congest.node import Inbox, NodeAlgorithm, NodeContext, Outbox
 from ..runtime import as_network, register_map
 from ..graphs.graph import Edge, edge_key
 from ..matching.core import Matching
@@ -149,13 +149,13 @@ class IsraeliItaiKernel(RoundKernel):
     degrees.
     """
 
-    # audited: node-local state, read-only shared, single-char payloads
-    shardable = True
-    #: sharded fast path: (a, b) index pairs — proposals (proposer,
-    #: target) routed to the target's shard, acceptances (accepter,
-    #: proposer) broadcast so every worker keeps mate/mask/free-degree
-    #: globally consistent (announce and prune need no records at all:
-    #: their information content is derivable from the replicated state)
+    #: audited for shard workers: node-local state, read-only shared,
+    #: single-char payloads.  Sharded fast path: (a, b) index pairs —
+    #: proposals (proposer, target) routed to the target's shard,
+    #: acceptances (accepter, proposer) broadcast so every worker keeps
+    #: mate/mask/free-degree globally consistent (announce and prune need
+    #: no records at all: their information content is derivable from
+    #: the replicated state)
     shard_words = 2
 
     def setup(self, shared: Dict[str, Any]) -> None:
@@ -504,7 +504,7 @@ class IsraeliItaiKernel(RoundKernel):
         if phase == "accept":
             owner, w = ctx.owner, ctx.w
             pairs = [(p, t) for p, t in self.proposals if owner[t] == w]
-            for _peer, words, _blob in ctx.incoming:
+            for _peer, words in ctx.incoming:
                 for off in range(0, len(words), 2):
                     pairs.append((int(words[off]), int(words[off + 1])))
             pairs.sort()  # ascending proposer: candidate lists stay sorted
@@ -527,7 +527,7 @@ class IsraeliItaiKernel(RoundKernel):
 
         if phase == "notify":
             pairs = list(self.accepts)
-            for _peer, words, _blob in ctx.incoming:
+            for _peer, words in ctx.incoming:
                 for off in range(0, len(words), 2):
                     pairs.append((int(words[off]), int(words[off + 1])))
             mate = self.mate

@@ -20,18 +20,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..observe.events import MISDecision
 from ..congest.kernels import RoundKernel, register_kernel
-from ..congest.message import int_bits
 from ..congest.network import Network
-from ..congest.node import BROADCAST, Inbox, NodeAlgorithm, NodeContext, Outbox
+from ..congest.node import Inbox, NodeAlgorithm, NodeContext, Outbox
 from ..runtime import as_network
 
 _JOIN = "J"
 _DOMINATED = "D"
-
-# sharded-kernel halo record kinds (first word of each 3-word record)
-_REC_DRAW = 0  # (DRAW, drawer index, value word) -> stamp draw/drawn_at
-_REC_D = 1     # (D, slot, -)                    -> clear the reverse slot
-_REC_WIN = 2   # (WIN, winner index, -)          -> stamp winner_at
 
 
 class LubyMISNode(NodeAlgorithm):
@@ -111,11 +105,6 @@ class LubyMISKernel(RoundKernel):
     in this round's inbox", so stale array entries can never masquerade as
     current-round messages.
     """
-
-    # audited: node-local state, read-only shared, scalar/tag payloads
-    shardable = True
-    #: sharded fast path: (kind, a, b) records — see the ``_REC_*`` kinds
-    shard_words = 3
 
     def setup(self, shared: Dict[str, Any]) -> None:
         A = self.arrays
@@ -221,7 +210,6 @@ class LubyMISKernel(RoundKernel):
                     di += 1
                     c = cache.get(12, -1)
                     if c < 0:
-                        self.shard_pos = s
                         c = self.charge(12, order[s], order[tgt[e0]])
                     if c > extra:
                         extra = c
@@ -233,7 +221,6 @@ class LubyMISKernel(RoundKernel):
                 bits = b + b + 2
                 c = cache.get(bits, -1)
                 if c < 0:
-                    self.shard_pos = i
                     c = self.charge(bits, order[i],
                                     order[tgt[self._first_active_slot(i)]])
                 if c > extra:
@@ -247,7 +234,6 @@ class LubyMISKernel(RoundKernel):
                 di += 1
                 c = cache.get(12, -1)
                 if c < 0:
-                    self.shard_pos = s
                     c = self.charge(12, order[s], order[tgt[e0]])
                 if c > extra:
                     extra = c
@@ -261,7 +247,6 @@ class LubyMISKernel(RoundKernel):
                     continue
                 c = cache.get(12, -1)
                 if c < 0:
-                    self.shard_pos = i
                     c = self.charge(12, order[i],
                                     order[tgt[self._first_active_slot(i)]])
                 if c > extra:
@@ -283,17 +268,15 @@ class LubyMISKernel(RoundKernel):
 
     # -- the two phases ---------------------------------------------------
     def step(self, round_number: int) -> int:
+        extra = self._price_round(round_number)
         if round_number % 2 == 1:
-            return self._step_draws(round_number)
-        return self._step_resolve(round_number)
-
-    def _step_draws(self, rnd: int) -> int:
-        """Odd rounds: prune straggler Ds, find winners, stage their Js."""
-        extra = self._price_round(rnd)
-        self._apply_draws(rnd)
+            self._apply_draws(round_number)
+        else:
+            self._apply_resolve(round_number)
         return extra
 
     def _apply_draws(self, rnd: int) -> None:
+        """Odd rounds: prune straggler Ds, find winners, stage their Js."""
         A = self.arrays
         np = self.np
         mask = self.mask
@@ -360,18 +343,9 @@ class LubyMISKernel(RoundKernel):
         self.live = new_live
         self.pending_draws = []
         self.pending_Js = pending_Js
-        if self.shard is not None:
-            # winners announce across the cut next round (the receiver-side
-            # slot may still be live even when the winner's own side is not)
-            self._win_records = [i for i, _ in pending_Js]
-
-    def _step_resolve(self, rnd: int) -> int:
-        """Even rounds: deliver Js; dominated halt and stage Ds; redraw."""
-        extra = self._price_round(rnd)
-        self._apply_resolve(rnd)
-        return extra
 
     def _apply_resolve(self, rnd: int) -> None:
+        """Even rounds: deliver Js; dominated halt and stage Ds; redraw."""
         A = self.arrays
         np = self.np
         mask = self.mask
@@ -471,37 +445,6 @@ class LubyMISKernel(RoundKernel):
         self.pending_draws = pending_draws
         self.pending_D_price = pending_D_price
         self.pending_D_slots = pending_D_slots
-        if self.shard is not None:
-            self._collect_shard_resolve()
-
-    def _collect_shard_resolve(self) -> None:
-        """Queue this resolve round's cross-shard effects for publishing.
-
-        Redrawn values travel to every peer of the drawer; D prunes whose
-        reverse slot lives in a remote row go to that row's owner (local
-        ones stay in ``pending_D_slots`` for the next odd round's scatter).
-        """
-        ctx = self.shard
-        A = self.arrays
-        dsl = self.pending_D_slots
-        if dsl is None:
-            self._d_remote = []
-        elif self.np is not None:
-            towner = ctx.np_owner[A.np_tgt[dsl]]
-            local = dsl[towner == ctx.w]
-            self._d_remote = dsl[towner != ctx.w].tolist()
-            self.pending_D_slots = local if len(local) else None
-        else:
-            owner, w = ctx.owner, ctx.w
-            tgt = A.tgt
-            local: List[int] = []
-            remote: List[int] = []
-            for e in dsl:
-                (local if owner[tgt[e]] == w else remote).append(e)
-            self._d_remote = remote
-            self.pending_D_slots = local if local else None
-        draw = self.draw
-        self._draw_records = [(i, draw[i]) for i, _ in self.pending_draws]
 
     # -- protocol surface ------------------------------------------------
     def unfinished(self) -> bool:
@@ -515,92 +458,6 @@ class LubyMISKernel(RoundKernel):
         order = self.arrays.order
         out = self.out
         return {order[i]: out[i] for i in range(self.arrays.n)}
-
-    # -- sharded fast path -------------------------------------------------
-    # Setup replicates every node's initial draw (independent per-node rng
-    # streams make that bit-exact), then each worker advances only its
-    # owned rows; masks and stamps on remote-adjacent nodes are kept
-    # current by DRAW/D/WIN records published along the cut.
-
-    def shard_setup(self, shared: Dict[str, Any]) -> None:
-        self.setup(shared)
-        ctx = self.shard
-        owner, w = ctx.owner, ctx.w
-        self.live = [i for i in self.live if owner[i] == w]
-        self.pending_draws = [(i, c) for i, c in self.pending_draws
-                              if owner[i] == w]
-        # record queues staged by the previous apply (round 1 owes none:
-        # the setup draws were replicated everywhere)
-        self._draw_records: List[Tuple[int, int]] = []
-        self._d_remote: List[int] = []
-        self._win_records: List[int] = []
-
-    def shard_publish(self, round_number: int) -> int:
-        ctx = self.shard
-        extra = self._price_round(round_number)
-        words = ctx.staged_words
-        peers = ctx.peers_of()
-        if round_number % 2 == 1:
-            for i, v in self._draw_records:
-                for d in peers.get(i, ()):
-                    sw = words[d]
-                    sw.append(_REC_DRAW)
-                    sw.append(i)
-                    sw.append(ctx.stage_value(d, v))
-            owner = ctx.owner
-            tgt = self.arrays.tgt
-            for e in self._d_remote:
-                sw = words[owner[tgt[e]]]
-                sw.append(_REC_D)
-                sw.append(e)
-                sw.append(0)
-            self._draw_records = []
-            self._d_remote = []
-        else:
-            for i in self._win_records:
-                for d in peers.get(i, ()):
-                    sw = words[d]
-                    sw.append(_REC_WIN)
-                    sw.append(i)
-                    sw.append(0)
-            self._win_records = []
-        return extra
-
-    def shard_apply(self, round_number: int) -> None:
-        ctx = self.shard
-        A = self.arrays
-        if round_number % 2 == 1:
-            # incoming prunes and draw stamps land before winner detection,
-            # mirroring the in-process prune-then-scan order
-            np = self.np
-            mask = self.mask
-            rev = A.rev
-            draw = self.draw
-            drawn_at = self.drawn_at
-            for _peer, wordsv, blob in ctx.incoming:
-                reader = ctx.blob_reader(blob)
-                for off in range(0, len(wordsv), 3):
-                    if wordsv[off] == _REC_DRAW:
-                        u = int(wordsv[off + 1])
-                        v = ctx.resolve(int(wordsv[off + 2]), reader)
-                        draw[u] = v
-                        drawn_at[u] = round_number
-                        if np is not None:
-                            self.np_draw[u] = v
-                    else:  # _REC_D
-                        mask[rev[int(wordsv[off + 1])]] = False
-            self._apply_draws(round_number)
-        else:
-            winner_at = self.winner_at
-            for _peer, wordsv, _blob in ctx.incoming:
-                for off in range(0, len(wordsv), 3):
-                    winner_at[int(wordsv[off + 1])] = round_number
-            self._apply_resolve(round_number)
-
-    def shard_outputs(self) -> Dict[int, Any]:
-        order = self.arrays.order
-        out = self.out
-        return {order[i]: out[i] for i in self.shard.owned}
 
 
 def luby_mis(network: Network, max_rounds: Optional[int] = None,

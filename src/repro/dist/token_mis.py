@@ -23,7 +23,7 @@ charges the chunked transmission rounds of Lemma 3.9.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..observe.events import TokenCollision
 from ..congest.kernels import RoundKernel, register_kernel
@@ -31,7 +31,6 @@ from ..congest.message import payload_bits_fast
 from ..congest.network import Network, ProtocolError
 from ..congest.node import Inbox, NodeAlgorithm, NodeContext, Outbox
 from ..runtime import register_map
-from ..graphs.graph import Edge
 from .bipartite_counting import CountState, X_SIDE, Y_SIDE
 from .random_tools import sample_max_uniform, weighted_choice
 
@@ -160,13 +159,6 @@ class TokenKernel(RoundKernel):
     """
 
     passive = True  # tokens/confirmations drive everything; silence = done
-    # audited: node-local state, read-only shared, plain-tuple payloads
-    shardable = True
-    #: sharded fast path: (kind, sender, target, value, leader) records
-    #: (kind 0 = token, 1 = confirmation; ids travel as indices).  When a
-    #: collision observer is subscribed, ``shared`` holds a callable and
-    #: the sharding eligibility gate already routes the run in-process.
-    shard_words = 5
 
     def setup(self, shared: Dict[str, Any]) -> None:
         A = self.arrays
@@ -320,107 +312,6 @@ class TokenKernel(RoundKernel):
         return {
             v: out.get(i) or {"mate": mates.get(v), "confirmed": False}
             for i, v in enumerate(self.arrays.order)
-        }
-
-    # -- sharded fast path -------------------------------------------------
-    # Setup replicates every leader's draws (independent per-node streams),
-    # then each worker keeps only the staged messages of its owned senders;
-    # the walk's sparse token/confirm traffic crosses the cut as records
-    # routed to the receiving node's owner, which replays the identical
-    # survival-of-the-largest and retrace transitions.
-
-    def shard_setup(self, shared: Dict[str, Any]) -> None:
-        self.setup(shared)
-        ctx = self.shard
-        owner, w = ctx.owner, ctx.w
-        index = self.arrays.index
-        self.staged = [m for m in self.staged if owner[index[m[0]]] == w]
-        self._local_arrivals: List[Tuple[int, int, int, int, int]] = []
-
-    def shard_publish(self, round_number: int) -> int:
-        ctx = self.shard
-        A = self.arrays
-        index = A.index
-        owner, w = ctx.owner, ctx.w
-        words = ctx.staged_words
-        local = self._local_arrivals
-        staged = self.staged
-        self.staged = []
-        extra = 0
-        messages = 0
-        bits_sum = 0
-        max_bits = 0
-        for sender, target, payload in staged:  # ascending owned sender
-            s = index[sender]
-            self.shard_pos = s
-            t = index.get(target)
-            if not A.adjacent(s, t):
-                raise ProtocolError(
-                    f"node {sender} tried to message non-neighbor {target}"
-                )
-            bits = payload_bits_fast(payload)
-            charge = self.charge(bits, sender, target)
-            if charge > extra:
-                extra = charge
-            messages += 1
-            bits_sum += bits
-            if bits > max_bits:
-                max_bits = bits
-            if payload[0] == _TOKEN:
-                rec = (0, s, t, payload[1], index[payload[2]])
-            else:
-                rec = (1, s, t, 0, index[payload[1]])
-            d = owner[t]
-            if d == w:
-                local.append(rec)
-            else:
-                sw = words[d]
-                sw.append(rec[0])
-                sw.append(rec[1])
-                sw.append(rec[2])
-                sw.append(ctx.stage_value(d, rec[3]))
-                sw.append(rec[4])
-        self.record_traffic(messages, bits_sum, max_bits)
-        return extra
-
-    def shard_apply(self, round_number: int) -> None:
-        ctx = self.shard
-        recs = self._local_arrivals
-        self._local_arrivals = []
-        for _peer, wordsv, blob in ctx.incoming:
-            reader = ctx.blob_reader(blob)
-            for off in range(0, len(wordsv), 5):
-                recs.append((int(wordsv[off]), int(wordsv[off + 1]),
-                             int(wordsv[off + 2]),
-                             ctx.resolve(int(wordsv[off + 3]), reader),
-                             int(wordsv[off + 4])))
-        # ascending global sender: arrival lists fill in the engine's
-        # staged (sender-major) order
-        recs.sort(key=lambda rec: (rec[1], rec[2], rec[0]))
-        order = self.arrays.order
-        tokens_at: Dict[int, List[Tuple[int, int, int]]] = {}
-        confirms_at: Dict[int, List[int]] = {}
-        for kind, s, t, v, l in recs:
-            if kind == 0:
-                tokens_at.setdefault(t, []).append((order[s], v, order[l]))
-            else:
-                confirms_at.setdefault(t, []).append(order[l])
-        for t in sorted(tokens_at.keys() | confirms_at.keys()):
-            self.shard_pos = t
-            arrivals = tokens_at.get(t)
-            if arrivals:
-                self._handle_tokens(t, arrivals)
-            confirms = confirms_at.get(t)
-            if confirms:
-                self._handle_confirms(t, confirms)
-
-    def shard_outputs(self) -> Dict[int, Any]:
-        order = self.arrays.order
-        out = self.out
-        return {
-            order[i]: out.get(i) or {"mate": self.mates.get(order[i]),
-                                     "confirmed": False}
-            for i in self.shard.owned
         }
 
 

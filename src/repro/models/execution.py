@@ -13,15 +13,16 @@ as ``Network(execution=...)`` and ``repro.run(execution=...)``:
 the ladder when a rung is ineligible.  The CONGEST rungs, fastest first::
 
     sharded-kernel   RoundKernel array fast path inside shard workers
+                     (only kernels declaring ``shard_words > 0``)
     kernel           RoundKernel fast path, single process
     node             per-node dispatch, single process (the reference)
     legacy           the original per-message dict engine (pinned only)
 
 ``tier="auto"`` (the default) applies the auto rules: kernels whenever a
-protocol registers one, sharding on top when requested or when the
-network is large and the machine multi-core.  ``shards=None`` follows
-the auto rules, ``shards=0`` is the kill switch (never shard),
-``shards=k`` forces ``k`` workers.
+protocol registers one, sharding on top — for a kernel audited for it —
+when requested or when the network is large and the machine multi-core.
+``shards=None`` follows the auto rules, ``shards=0`` is the kill switch
+(never shard), ``shards=k`` forces ``k`` workers.
 
 :func:`resolve_execution` is the single resolution routine used by both
 ``Network.run`` and ``Network.explain_execution``; the latter collects a
@@ -120,14 +121,13 @@ class ExecutionDecision:
     ``tier`` is the selected rung; ``shards`` is the worker count for the
     sharded tier (None otherwise); ``reasons`` is the human-readable chain
     (populated by ``explain_execution``, empty on hot-path resolutions).
-    ``kernel``/``kernel_cls`` carry the selected kernel for the kernel
-    tiers (consumed by ``Network.run``).
+    ``kernel_cls`` names the selected kernel class for the kernel tiers;
+    ``Network.run`` constructs it (resolution itself builds nothing).
     """
 
     tier: str
     shards: Optional[int] = None
     reasons: Tuple[str, ...] = ()
-    kernel: Any = field(default=None, repr=False, compare=False)
     kernel_cls: Any = field(default=None, repr=False, compare=False)
 
     def explain(self) -> str:
@@ -159,10 +159,9 @@ def resolve_execution(net: Any, factory: Any = None,
         f"CONGEST execution ladder ({' > '.join(TIERS)})")
 
     def done(tier: str, shards: Optional[int] = None,
-             kernel: Any = None, kernel_cls: Any = None,
-             ) -> ExecutionDecision:
+             kernel_cls: Any = None) -> ExecutionDecision:
         return ExecutionDecision(tier=tier, shards=shards,
-                                 reasons=tuple(reasons), kernel=kernel,
+                                 reasons=tuple(reasons),
                                  kernel_cls=kernel_cls)
 
     if plan.tier == "legacy":
@@ -188,7 +187,6 @@ def resolve_execution(net: Any, factory: Any = None,
     kernel_cls = _kernels.kernel_for(factory) if factory is not None else None
 
     # -- kernel gates (shared by both fast tiers) -----------------------
-    kernel = None
     kernel_why = None
     if net._fault_rng is not None:
         kernel_why = "fault injection needs real per-node inboxes"
@@ -203,11 +201,6 @@ def resolve_execution(net: Any, factory: Any = None,
         name = getattr(factory, "__name__", None) or repr(factory)
         kernel_why = (f"no RoundKernel is registered for {name} "
                       f"(exact class match required)")
-    else:
-        kernel = kernel_cls(net)
-        if not kernel.accepts():
-            kernel = None
-            kernel_why = f"{kernel_cls.__name__}.accepts() vetoed this run"
 
     # -- shard eligibility (sits on top of the kernel gates) ------------
     ladder = _LADDER[plan.tier]
@@ -223,13 +216,10 @@ def resolve_execution(net: Any, factory: Any = None,
                          "the auto rules did not fire — they need "
                          f">= {_sharding.AUTO_SHARD_MIN_NODES} nodes and "
                          f">= 2 cores, with no kill switch set)")
-        elif not getattr(kernel_cls, "shardable", False):
-            shard_why = (f"{kernel_cls.__name__} does not declare "
-                         f"shardable=True (its node program is not "
-                         f"audited for multi-process execution)")
-        elif not getattr(kernel_cls, "shard_words", 0):
-            shard_why = (f"{kernel_cls.__name__} has no shard hooks "
-                         f"(shard_words == 0)")
+        elif not kernel_cls.shard_words:
+            shard_why = (f"{kernel_cls.__name__} declares no shard hooks "
+                         f"(shard_words == 0: it is not audited for "
+                         f"multi-process execution)")
         elif shared and any(callable(v) for v in shared.values()):
             shard_why = ("shared values include callables, which cannot "
                          "cross process boundaries")
@@ -244,14 +234,14 @@ def resolve_execution(net: Any, factory: Any = None,
                 say(f"tier 'sharded-kernel': selected — "
                     f"{kernel_cls.__name__} runs inside {k} shard "
                     f"worker(s)")
-                return done("sharded-kernel", shards=k, kernel=kernel,
+                return done("sharded-kernel", shards=k,
                             kernel_cls=kernel_cls)
             say(f"tier 'sharded-kernel': skipped — {shard_why}")
         elif rung == "kernel":
-            if kernel is not None:
+            if kernel_why is None:
                 say(f"tier 'kernel': selected — {kernel_cls.__name__} "
                     f"runs in-process")
-                return done("kernel", kernel=kernel, kernel_cls=kernel_cls)
+                return done("kernel", kernel_cls=kernel_cls)
             say(f"tier 'kernel': skipped — {kernel_why}")
     # "node" ends every fast ladder
     say("tier 'node': selected — the per-node reference path")

@@ -23,15 +23,17 @@ so ``repro.run("mpc_maximal", ...)`` surfaces it like any other cost.
 resolution and ``wants``/``emit`` are :func:`~repro.observe.events.
 resolve_bus` and :class:`~repro.observe.events.Observable`, the ones
 ``Network`` uses — so MPC drivers reuse the phase/trace/profile
-machinery unchanged.  Supersteps are charged through
-:meth:`MPCCluster.superstep` and land in ``Metrics.rounds``, so
-cross-model round/superstep tables line up.
+machinery unchanged.  Supersteps open around the pass they charge
+(:meth:`MPCCluster.superstep`) and land in ``Metrics.rounds``, so
+cross-model round/superstep tables line up and a profiler's protocol
+row times the passes themselves.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..models.base import MPC_MODEL, ModelExecutionError
 from ..models.execution import ExecutionDecision, as_plan
@@ -118,6 +120,22 @@ class MPCMachine:
     def release(self, words: int) -> None:
         """Free ``words`` (peaks are sticky; resident never goes negative)."""
         self.resident = max(0, self.resident - words)
+
+
+class _Superstep:
+    """The traffic one open superstep carries (see
+    :meth:`MPCCluster.superstep`)."""
+
+    __slots__ = ("messages", "words")
+
+    def __init__(self) -> None:
+        self.messages = 0
+        self.words = 0
+
+    def charge(self, messages: int = 0, words: int = 0) -> None:
+        """Add ``messages`` carrying ``words`` words to this superstep."""
+        self.messages += messages
+        self.words += words
 
 
 class MPCCluster(Observable):
@@ -212,31 +230,48 @@ class MPCCluster(Observable):
         return self.model.resolve(self, factory, shared, collect=True)
 
     # -- superstep/memory accounting ------------------------------------
+    @contextmanager
     def superstep(self, protocol: str, count: int = 1,
-                  messages: int = 0, words: int = 0) -> None:
-        """Charge ``count`` supersteps (and the traffic they carried).
+                  ) -> Iterator[_Superstep]:
+        """Open ``count`` supersteps around the pass they charge.
 
-        Supersteps land in ``Metrics.rounds`` — the MPC model's loop
-        unit — so cross-model round/superstep tables line up; traffic is
-        priced at :attr:`word_bits` bits per word.
+        ::
+
+            with cluster.superstep(protocol) as step:
+                accepted = passes.local_mis()
+                step.charge(messages=2 * len(accepted),
+                            words=2 * len(accepted))
+
+        ``RoundStart`` of the first step is emitted on entry, before the
+        pass runs, so a profiler's protocol row times the pass.  On a
+        clean exit the charged traffic (priced at :attr:`word_bits` bits
+        per word) and every step land in ``Metrics`` — supersteps in
+        ``Metrics.rounds``, the MPC model's loop unit, so cross-model
+        round/superstep tables line up — and ``RoundEnd`` closes each
+        step; a multi-step charge carries its traffic on step one.  A
+        pass that raises records nothing, as in the CONGEST engine loop.
         """
         observed = self.wants(ROUND_START) or self.wants(ROUND_END)
-        total_bits = words * self.word_bits
-        if messages:
-            self.metrics.record_message_batch(messages, total_bits,
+        if observed:
+            self.emit(RoundStart(protocol=protocol,
+                                 round=self._superstep_counter + 1))
+        step = _Superstep()
+        yield step
+        total_bits = step.words * self.word_bits
+        if step.messages:
+            self.metrics.record_message_batch(step.messages, total_bits,
                                               self.word_bits)
-        for step in range(count):
+        for i in range(count):
             self._superstep_counter += 1
-            if observed:
+            if observed and i:
                 self.emit(RoundStart(protocol=protocol,
                                      round=self._superstep_counter))
             self.metrics.record_round(protocol)
             if observed:
-                # a multi-step charge carries its traffic on step one
                 self.emit(RoundEnd(protocol=protocol,
                                    round=self._superstep_counter,
-                                   messages=messages if step == 0 else 0,
-                                   bits=total_bits if step == 0 else 0))
+                                   messages=step.messages if i == 0 else 0,
+                                   bits=total_bits if i == 0 else 0))
 
     def record_peaks(self) -> None:
         """Fold the cluster-wide peak into the Metrics memory account."""

@@ -258,9 +258,9 @@ def mpc_maximal(cluster: MPCCluster) -> MPCMatchingResult:
 
     m, n = passes.num_edges, passes.num_nodes
 
-    passes.distribute()
-    cluster.superstep(protocol, count=1, messages=m + n,
-                      words=2 * m + 2 * n)
+    with cluster.superstep(protocol) as step:
+        passes.distribute()
+        step.charge(messages=m + n, words=2 * m + 2 * n)
 
     # every iteration matches an edge, so this trips only if the progress
     # invariant breaks; unlike the assert below, it holds under python -O
@@ -281,37 +281,38 @@ def mpc_maximal(cluster: MPCCluster) -> MPCMatchingResult:
 
         # -- sparsify: per-machine lowest-priority working sample -------
         with driver.phase(f"sparsify[{iteration}]") as ph:
-            sampled, delta_est = passes.sparsify(iteration)
-            cluster.superstep(protocol, count=1, messages=sampled,
-                              words=2 * sampled)
+            with cluster.superstep(protocol) as step:
+                sampled, delta_est = passes.sparsify(iteration)
+                step.charge(messages=sampled, words=2 * sampled)
             ph.set_detail(alive=alive_before, sampled=sampled,
                           per_machine_cap=passes.q, delta_est=delta_est)
 
         # -- best: each sampled vertex's minimum sample edge ------------
         with driver.phase(f"best[{iteration}]") as ph:
-            sampled_vertices = passes.best()
-            cluster.superstep(protocol, count=1, messages=sampled_vertices,
-                              words=sampled_vertices)
+            with cluster.superstep(protocol) as step:
+                sampled_vertices = passes.best()
+                step.charge(messages=sampled_vertices,
+                            words=sampled_vertices)
             ph.set_detail(sampled_vertices=sampled_vertices)
 
         # -- local MIS on the line graph: mutual minima -----------------
         with driver.phase(f"local_mis[{iteration}]") as ph:
-            accepted = passes.local_mis()
-            cluster.superstep(protocol, count=1,
-                              messages=2 * len(accepted),
-                              words=2 * len(accepted))
+            with cluster.superstep(protocol) as step:
+                accepted = passes.local_mis()
+                step.charge(messages=2 * len(accepted),
+                            words=2 * len(accepted))
             ph.set_detail(accepted=len(accepted))
         assert accepted, "a nonempty sample always has a mutual minimum"
 
         # -- integrate: apply the matching, drop dead edges -------------
         with driver.phase(f"integrate[{iteration}]") as ph:
-            for idx in accepted:
-                u, v = passes.edges[idx]
-                matching.add(u, v)
-            dropped = passes.integrate(accepted)
-            cluster.superstep(protocol, count=2,
-                              messages=2 * len(accepted),
-                              words=2 * len(accepted))
+            with cluster.superstep(protocol, count=2) as step:
+                for idx in accepted:
+                    u, v = passes.edges[idx]
+                    matching.add(u, v)
+                dropped = passes.integrate(accepted)
+                step.charge(messages=2 * len(accepted),
+                            words=2 * len(accepted))
             ph.set_detail(matched=len(accepted), dropped_edges=dropped,
                           alive=passes.alive_count,
                           decay_ratio=round(dropped / alive_before, 4))

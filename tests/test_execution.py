@@ -28,7 +28,7 @@ from repro.congest import (
 )
 from repro.congest import kernels as kernels_mod
 from repro.congest import sharding
-from repro.dist.israeli_itai import israeli_itai
+from repro.dist.israeli_itai import IsraeliItaiNode, israeli_itai
 from repro.dist.luby_mis import LubyMISNode, luby_mis
 from repro.graphs import gnp, path_graph
 
@@ -160,6 +160,7 @@ class TestExplainExecution:
 
     def test_sharded_kernel_tier(self):
         decision = self._explain(
+            IsraeliItaiNode,
             execution=ExecutionPlan(tier="sharded-kernel", shards=2))
         assert decision.tier == "sharded-kernel"
         assert decision.shards == 2
@@ -221,6 +222,7 @@ class TestExplainExecution:
 
     def test_explain_formats_the_chain(self):
         decision = self._explain(
+            IsraeliItaiNode,
             execution=ExecutionPlan(tier="sharded-kernel", shards=2))
         text = decision.explain()
         assert text.startswith("resolved tier: sharded-kernel (2 shard(s))")
@@ -230,7 +232,7 @@ class TestExplainExecution:
         # no worker pool may be built by an explain call
         net = self._net(execution=ExecutionPlan(tier="sharded-kernel",
                                                 shards=2))
-        net.explain_execution(LubyMISNode)
+        assert net.explain_execution(IsraeliItaiNode).shards == 2
         assert net._sharded_execs == {}
 
 
@@ -339,12 +341,13 @@ class TestFallbackGoldens:
 
 # --- zero-copy halo views -------------------------------------------------
 
-def _publish_halo(base, worker, gen, k, dest, words, blob):
-    """Write one halo block in the worker publish format (test fixture)."""
+def _publish_halo(base, worker, gen, k, dest, words):
+    """Write one halo block in the worker publish format (test fixture):
+    ``k + 1`` segment offsets, then ``dest``'s segment of int64 words."""
     header = 8 * (k + 1)
-    seg = 8 + 8 * len(words) + 8 + len(blob)
+    raw = array("q", words).tobytes()
     shm = shared_memory.SharedMemory(
-        create=True, size=header + seg,
+        create=True, size=header + len(raw),
         name=sharding._halo_name(base, worker, gen))
     buf = shm.buf
     offsets = memoryview(buf)[:header].cast("q")
@@ -352,15 +355,8 @@ def _publish_halo(base, worker, gen, k, dest, words, blob):
     offsets[0] = 0
     for d in range(k):
         if d == dest:
-            base_off = header + pos
-            buf[base_off:base_off + 8] = struct.pack("q", len(words))
-            raw = array("q", words).tobytes()
-            buf[base_off + 8:base_off + 8 + len(raw)] = raw
-            tail = base_off + 8 + len(raw)
-            buf[tail:tail + 8] = struct.pack("q", len(blob))
-            if blob:
-                buf[tail + 8:tail + 8 + len(blob)] = blob
-            pos += seg
+            buf[header + pos:header + pos + len(raw)] = raw
+            pos += len(raw)
         offsets[d + 1] = pos
     offsets.release()
     return shm
@@ -394,24 +390,22 @@ class TestZeroCopyHaloViews:
         if np is None:  # pragma: no cover - numpy-free host
             pytest.skip("numpy not available")
         base = f"zc{os.getpid()}a"
-        shm = _publish_halo(base, 0, 5, k=2, dest=1,
-                            words=[7, 8, 9], blob=b"xyz")
+        shm = _publish_halo(base, 0, 5, k=2, dest=1, words=[7, 8, 9])
         reader = self._reader(base, k=2, w=1, gen_of={0: 5})
         views = []
         try:
             incoming = self._load(reader, views)
-            [(peer, wordsv, blob)] = incoming
+            [(peer, wordsv)] = incoming
             assert peer == 0
             assert isinstance(wordsv, np.ndarray)
             assert not wordsv.flags.owndata  # a view, not a copy
             assert wordsv.tolist() == [7, 8, 9]
-            assert bytes(blob) == b"xyz"
             # mutate the publisher's buffer: the view must see it with no
             # re-read — that is the zero-copy contract the kernel relies on
             header = 8 * 3
-            shm.buf[header + 8:header + 16] = struct.pack("q", 42)
+            shm.buf[header:header + 8] = struct.pack("q", 42)
             assert wordsv[0] == 42
-            del wordsv, blob
+            del wordsv
             self._drop(reader, incoming, views)
         finally:
             shm.close()
@@ -420,17 +414,17 @@ class TestZeroCopyHaloViews:
     def test_fallback_views_are_zero_copy_too(self, monkeypatch):
         monkeypatch.setattr(kernels_mod, "_np", None)
         base = f"zc{os.getpid()}b"
-        shm = _publish_halo(base, 0, 1, k=2, dest=1, words=[11], blob=b"")
+        shm = _publish_halo(base, 0, 1, k=2, dest=1, words=[11])
         reader = self._reader(base, k=2, w=1, gen_of={0: 1})
         views = []
         try:
             incoming = self._load(reader, views)
-            [(peer, wordsv, blob)] = incoming
+            [(peer, wordsv)] = incoming
             assert list(wordsv) == [11]
             header = 8 * 3
-            shm.buf[header + 8:header + 16] = struct.pack("q", 13)
+            shm.buf[header:header + 8] = struct.pack("q", 13)
             assert wordsv[0] == 13
-            del wordsv, blob
+            del wordsv
             self._drop(reader, incoming, views)
         finally:
             shm.close()
@@ -438,7 +432,7 @@ class TestZeroCopyHaloViews:
 
     def test_generation_bump_reattaches(self):
         base = f"zc{os.getpid()}c"
-        old = _publish_halo(base, 0, 1, k=2, dest=1, words=[1], blob=b"")
+        old = _publish_halo(base, 0, 1, k=2, dest=1, words=[1])
         reader = self._reader(base, k=2, w=1, gen_of={0: 1})
         views = []
         try:
@@ -450,8 +444,7 @@ class TestZeroCopyHaloViews:
             reader.peer_halo[0] = (gen0, cached0)
 
             # the publisher resizes: new generation, new block name
-            new = _publish_halo(base, 0, 2, k=2, dest=1, words=[2, 3],
-                                blob=b"")
+            new = _publish_halo(base, 0, 2, k=2, dest=1, words=[2, 3])
             reader.words[sharding._CTRL_WORDS + sharding._S_HALO_GEN] = 2
             try:
                 views = []

@@ -70,6 +70,35 @@ class TestMachineLedger:
         assert "raise alpha" in str(exc)
 
 
+class TestSuperstep:
+    class Collect:
+        def __init__(self):
+            self.events = []
+
+        def on_event(self, event):
+            self.events.append(event)
+
+    def test_a_superstep_that_raises_records_nothing(self):
+        collect = self.Collect()
+        cluster = MPCCluster(path_graph(300), alpha=0.7, observe=collect)
+        with pytest.raises(MemoryExceeded):
+            with cluster.superstep("probe") as step:
+                step.charge(messages=3, words=6)
+                raise MemoryExceeded(0, 9, 8, "probe")
+        assert cluster.metrics.rounds == 0
+        assert cluster.metrics.messages == 0
+        assert [type(e).__name__ for e in collect.events] == ["RoundStart"]
+        # the next superstep numbers on from the last completed one
+        with cluster.superstep("probe", count=2) as step:
+            step.charge(messages=3, words=6)
+        assert cluster.metrics.rounds == 2
+        assert cluster.metrics.messages == 3
+        assert [(type(e).__name__, e.round, getattr(e, "messages", None))
+                for e in collect.events[1:]] == [
+            ("RoundStart", 1, None), ("RoundEnd", 1, 3),
+            ("RoundStart", 2, None), ("RoundEnd", 2, 0)]
+
+
 class TestMemoryGuard:
     def test_floor_trips_at_construction(self):
         # S = ceil(300**0.3) = 6 < 16: provably cannot hold even the
@@ -220,6 +249,40 @@ class TestRunEntryPoint:
         phases = {ph.phase for ph in result.profile.phases}
         assert any(ph.startswith("sparsify") for ph in phases)
         assert any(ph.startswith("best") for ph in phases)
+
+    @pytest.mark.parametrize("tier", ["node", "mpc_kernel"])
+    def test_profile_protocol_row_times_every_pass(self, tier, monkeypatch):
+        # the injected clock advances only inside the passes, so the
+        # protocol row reads the passes' whole time only when every
+        # superstep is open around the pass it charges
+        from repro.mpc.kernel import VectorPasses
+        from repro.mpc.matching import _NodePasses
+        from repro.observe.profiling import Profiler
+
+        now = [0.0]
+
+        def advancing(pass_fn):
+            def timed(*args, **kwargs):
+                now[0] += 1.0
+                return pass_fn(*args, **kwargs)
+            return timed
+
+        for cls in (_NodePasses, VectorPasses):
+            for name in ("distribute", "sparsify", "best", "local_mis",
+                         "integrate"):
+                monkeypatch.setattr(cls, name,
+                                    advancing(getattr(cls, name)))
+        profiler = Profiler(clock=lambda: now[0])
+        cluster = MPCCluster(gnp(300, 0.02, rng=random.Random(0)),
+                             alpha=0.7, seed=0, observe=profiler,
+                             execution=tier)
+        result = mpc_maximal(cluster)
+        report = profiler.report()
+        row = report.protocol("mpc_maximal")
+        assert now[0] == 1 + 4 * result.iterations
+        assert row.wall == now[0]
+        assert row.rounds == result.supersteps
+        assert all(row.wall >= ph.wall for ph in report.phases)
 
     def test_no_iteration_cap_option(self):
         with pytest.raises(TypeError, match="max_iterations"):

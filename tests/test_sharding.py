@@ -3,8 +3,10 @@
 The sharded executor must be *bit-identical* to the single-process engine:
 same outputs, same round counts, same physical :class:`~repro.congest.
 metrics.Metrics`, same structural event stream, same errors at the same
-points — across every kernelized protocol, seed, and shard count
-(including the degenerate 1-shard pool).  The partitioner must be a pure
+points — across seeds and shard counts (including the degenerate 1-shard
+pool).  Israeli-Itai is the one protocol whose kernel is audited for
+shard workers; every other kernelized protocol resolves to the
+in-process kernel under a sharded plan.  The partitioner must be a pure
 deterministic function of ``(graph, shards, seed, balance)``, including
 across processes.
 """
@@ -15,8 +17,6 @@ import sys
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.congest import (
     CONGEST,
@@ -31,23 +31,33 @@ from repro.congest import (
     ProtocolError,
     RoundEnd,
     RoundStart,
-    ShardingError,
     congest,
     partition_graph,
     resolve_shards,
 )
 from repro.congest import sharding
-from repro.congest.sharding import decode_payload, encode_payload
 from repro.dist.bipartite_counting import (
     X_SIDE,
     Y_SIDE,
     CountingNode,
     run_counting,
 )
-from repro.dist.israeli_itai import IsraeliItaiNode, israeli_itai
+from repro.dist.israeli_itai import (
+    IsraeliItaiKernel,
+    IsraeliItaiNode,
+    israeli_itai,
+)
 from repro.dist.luby_mis import LubyMISNode, luby_mis
 from repro.dist.token_mis import TokenNode, run_token_selection
-from repro.graphs import gnp, grid_graph, path_graph, random_bipartite
+from repro.graphs import (
+    gnp,
+    grid_graph,
+    path_graph,
+    power_law_graph,
+    random_bipartite,
+    random_tree,
+    star_graph,
+)
 
 
 def _metrics_tuple(m):
@@ -174,84 +184,12 @@ class TestPartitioner:
             assert part.cut_edges <= 2
 
 
-# --- halo payload codec --------------------------------------------------
-
-CODEC_CASES = [
-    None, True, False, 0, 1, -1, 7, -123456789, 1 << 200, -(1 << 200),
-    0.0, -2.5, 1e300, "", "halo", "ünïcode", (), (1, 2), [3, "x", None],
-    {"a": 1, "b": (2.5, False)}, {1: {2: [3]}}, set(), {1, 2, 3},
-    frozenset({(1, 2)}), ((((42,)),),), [{"deep": [1, {"er": (None,)}]}],
-]
-
-
-class TestCodec:
-    @pytest.mark.parametrize("payload", CODEC_CASES,
-                             ids=[str(i) for i in range(len(CODEC_CASES))])
-    def test_roundtrip(self, payload):
-        buf = bytearray()
-        encode_payload(buf, payload)
-        decoded, pos = decode_payload(memoryview(bytes(buf)), 0)
-        assert pos == len(buf)
-        assert decoded == payload
-        assert type(decoded) is type(payload)
-
-    def test_dict_order_preserved(self):
-        buf = bytearray()
-        encode_payload(buf, {"z": 1, "a": 2})
-        decoded, _ = decode_payload(memoryview(bytes(buf)), 0)
-        assert list(decoded) == ["z", "a"]
-
-    def test_rejects_non_plain_data(self):
-        with pytest.raises(ShardingError):
-            encode_payload(bytearray(), object())
-
-
-# -- codec round trip (hypothesis): the kernel halo's blob overflow ------
-
-_relaxed = settings(deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
-
-# exactly the plain-data universe the pricing model knows; oversized
-# ints force the length-prefixed blob branch the sentinel words point at
-_payloads = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(2**100), max_value=2**100)
-    | st.floats(allow_nan=False)
-    | st.text(max_size=12),
-    lambda children: st.tuples(children, children)
-    | st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple),
-    max_leaves=12,
-)
-
-
-class TestPayloadRoundTrip:
-    @_relaxed
-    @given(obj=_payloads)
-    def test_encode_decode_round_trip(self, obj):
-        buf = bytearray()
-        encode_payload(buf, obj)
-        decoded, pos = decode_payload(memoryview(bytes(buf)), 0)
-        assert decoded == obj
-        assert pos == len(buf)
-
-    @_relaxed
-    @given(value=st.integers(min_value=2**63,
-                             max_value=2**200) | st.integers(
-                                 min_value=-(2**200), max_value=-(2**63) - 1))
-    def test_oversized_int_blob_overflow(self, value):
-        # beyond int64 the codec switches to the sign-tagged magnitude
-        # blob; these are the values the word stream cannot carry inline
-        buf = bytearray()
-        encode_payload(buf, value)
-        tag = buf[0]
-        assert tag in (3, 4)  # _T_INT_POS / _T_INT_NEG
-        decoded, pos = decode_payload(memoryview(bytes(buf)), 0)
-        assert decoded == value and pos == len(buf)
-
-
 # --- golden workloads (shard count is the only degree of freedom) --------
+
+def _matching(net):
+    """The edge set of one Israeli-Itai run on ``net``."""
+    return frozenset(israeli_itai(net).edges())
+
 
 def _run_israeli(policy, seed, shards=None):
     g = gnp(48, 0.12, rng=seed)
@@ -309,8 +247,7 @@ def _run_counting_workload(policy, seed, shards=None, ell=4):
 
 def _run_token(policy, seed, shards=None, ell=1):
     # counting feeds token selection on the same network, so this also
-    # exercises run-counter continuity and shared dicts holding CountState
-    # objects across the process boundary
+    # exercises run-counter continuity
     g, side, mate = _counting_instance(seed)
     n_bound = max(2, g.num_nodes) * max(2, g.max_degree) ** ((ell + 1) // 2)
     net = _network(g, policy, seed, shards)
@@ -331,6 +268,28 @@ WORKLOADS = {
     "token": (_run_token, [PIPELINE]),
 }
 
+#: kernelized protocols whose kernels declare no shard hooks: a sharded
+#: plan runs them on the in-process kernel, with no worker pool
+UNAUDITED = {
+    "luby_mis": LubyMISNode,
+    "counting": CountingNode,
+    "token": TokenNode,
+}
+
+#: graph shapes the gnp matrix does not reach: long paths, a hub whose
+#: edges cross every cut, isolated nodes, trees, bipartite, dense and
+#: heavy-tailed graphs
+FAMILIES = {
+    "path": lambda: path_graph(41),
+    "star": lambda: star_graph(30),
+    "grid": lambda: grid_graph(6, 7),
+    "tree": lambda: random_tree(50, rng=4),
+    "bipartite": lambda: random_bipartite(20, 20, 0.15, rng=4),
+    "sparse": lambda: gnp(60, 0.03, rng=8),
+    "dense": lambda: gnp(24, 0.5, rng=2),
+    "power_law": lambda: power_law_graph(60, rng=5),
+}
+
 MATRIX = [
     pytest.param(name, policy, seed, shards,
                  id=f"{name}-{policy.mode.value}-s{seed}-k{shards}")
@@ -344,9 +303,34 @@ MATRIX = [
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("name,policy,seed,shards", MATRIX)
     def test_sharded_matches_single_process(self, name, policy, seed,
-                                            shards):
+                                            shards, monkeypatch):
+        pools = []
+        real = sharding.ShardedNetwork
+
+        def spy(net, k, *args, **kwargs):
+            pools.append(k)
+            return real(net, k, *args, **kwargs)
+
         runner = WORKLOADS[name][0]
-        assert runner(policy, seed, shards=shards) == runner(policy, seed)
+        golden = runner(policy, seed)
+        monkeypatch.setattr(sharding, "ShardedNetwork", spy)
+        assert runner(policy, seed, shards=shards) == golden
+        # only the audited kernel engages a worker pool
+        assert pools == ([] if name in UNAUDITED else [shards])
+
+    @pytest.mark.parametrize("shards", (2, 3, 5))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_israeli_itai_golden_across_graph_families(self, family,
+                                                       shards):
+        g = FAMILIES[family]()
+        ref = Network(g, policy=CONGEST, seed=4)
+        golden = (_matching(ref), _metrics_tuple(ref.metrics))
+        net = _network(g, CONGEST, 4, shards)
+        try:
+            assert (_matching(net), _metrics_tuple(net.metrics)) == golden
+            assert net.metrics.shard_halo_bits > 0  # words crossed a cut
+        finally:
+            net.close()
 
     def test_structural_event_streams_identical(self):
         streams = {}
@@ -368,17 +352,25 @@ class TestGoldenEquivalence:
         assert streams[3] == streams[None]
         assert any(kind == "RoundStart" for kind, *_ in streams[3])
 
+    @pytest.mark.parametrize("name", sorted(UNAUDITED))
+    def test_unaudited_kernels_run_in_process(self, name):
+        net = Network(gnp(30, 0.2, rng=0), policy=LOCAL, seed=0,
+                      execution=_sharded(2))
+        decision = net.explain_execution(UNAUDITED[name])
+        assert decision.tier == "kernel"
+        assert any("shard_words == 0" in r for r in decision.reasons)
+
     def test_sequential_runs_share_one_pool(self):
         # metrics accumulate across protocols on one network, and the
         # worker pool (plus per-node rng run counter) carries over
-        g = gnp(56, 0.1, rng=2)
+        g = gnp(48, 0.12, rng=2)
         ref = Network(g, policy=LOCAL, seed=2)
-        mis_a = frozenset(luby_mis(ref))
-        mis_b = frozenset(luby_mis(ref))
+        first = _matching(ref)
+        second = _matching(ref)
         net = Network(g, policy=LOCAL, seed=2, execution=_sharded(2))
         try:
-            assert frozenset(luby_mis(net)) == mis_a
-            assert frozenset(luby_mis(net)) == mis_b
+            assert _matching(net) == first
+            assert _matching(net) == second
             assert len(net._sharded_execs) == 1  # one pool, reused
             assert _metrics_tuple(net.metrics) == _metrics_tuple(ref.metrics)
         finally:
@@ -395,7 +387,7 @@ class TestGoldenEquivalence:
         g = grid_graph(8, 8)
         net = Network(g, policy=LOCAL, seed=1, execution=_sharded(2))
         try:
-            luby_mis(net)
+            israeli_itai(net)
             part = net._sharded_execs[2].partition
             assert net.metrics.shard_cut_edges == part.cut_edges > 0
             assert net.metrics.shard_imbalance == part.imbalance >= 1.0
@@ -407,7 +399,7 @@ class TestGoldenEquivalence:
         g = gnp(40, 0.15, rng=6)
         net = Network(g, policy=LOCAL, seed=6, execution=_sharded(1))
         try:
-            luby_mis(net)
+            israeli_itai(net)
             assert net.metrics.shard_cut_edges == 0
             assert net.metrics.shard_halo_bits == 0
         finally:
@@ -422,11 +414,11 @@ class TestErrorEquivalence:
             net = _network(g, CONGEST, 2, shards)
             try:
                 with pytest.raises(ProtocolError) as exc:
-                    net.run(LubyMISNode, protocol="luby_mis", max_rounds=3)
+                    net.run(IsraeliItaiNode, protocol="israeli_itai",
+                            max_rounds=3)
                 partial = (str(exc.value), _metrics_tuple(net.metrics))
                 # the pool must survive an aborted run and finish a new one
-                mis = frozenset(luby_mis(net))
-                outcomes[shards] = (partial, mis,
+                outcomes[shards] = (partial, _matching(net),
                                     _metrics_tuple(net.metrics))
             finally:
                 net.close()
@@ -434,15 +426,16 @@ class TestErrorEquivalence:
         assert "exceeded 3 rounds" in outcomes[2][0][0]
 
     def test_bandwidth_exceeded_identical(self):
-        # a 1x-log budget the counting pass must blow — in the same round,
-        # with the same message and the same partial accounting
+        # a 1x-log budget (6 bits at n = 48) that Israeli-Itai's 12-bit
+        # tags blow in round 1 — in the same round, with the same message
+        # and the same partial accounting
         outcomes = {}
         for shards in (None, 2):
-            g, side, mate = _counting_instance(9)
+            g = gnp(48, 0.12, rng=9)
             net = _network(g, congest(multiplier=1), 9, shards)
             try:
                 with pytest.raises(BandwidthExceeded) as exc:
-                    run_counting(net, side, mate, ell=6)
+                    israeli_itai(net)
                 outcomes[shards] = (str(exc.value),
                                     _metrics_tuple(net.metrics))
             finally:
@@ -466,13 +459,13 @@ class TestPoolRecovery:
                     raise RuntimeError("hook crashed")
 
                 with pytest.raises(RuntimeError, match="hook crashed"):
-                    net.run(LubyMISNode, protocol="luby_mis",
+                    net.run(IsraeliItaiNode, protocol="israeli_itai",
                             on_round_end=boom)
                 if shards is not None:
                     # the ABORT handshake keeps the same pool reusable
                     assert not net._sharded_execs[2].broken
-                mis = frozenset(luby_mis(net))
-                outcomes[shards] = (mis, _metrics_tuple(net.metrics))
+                outcomes[shards] = (_matching(net),
+                                    _metrics_tuple(net.metrics))
             finally:
                 net.close()
         assert outcomes[2] == outcomes[None]
@@ -496,11 +489,11 @@ class TestPoolRecovery:
                           execution=_sharded(shards))
             try:
                 with pytest.raises(ValueError, match="subscriber crashed"):
-                    net.run(LubyMISNode, protocol="luby_mis")
+                    net.run(IsraeliItaiNode, protocol="israeli_itai")
                 if shards is not None:
                     assert not net._sharded_execs[2].broken
-                mis = frozenset(luby_mis(net))
-                outcomes[shards] = (mis, _metrics_tuple(net.metrics))
+                outcomes[shards] = (_matching(net),
+                                    _metrics_tuple(net.metrics))
             finally:
                 net.close()
         assert outcomes[2] == outcomes[None]
@@ -511,15 +504,15 @@ class TestPoolRecovery:
         # pool cannot be trusted and must be broken, closed, and replaced
         g = gnp(40, 0.15, rng=3)
         ref = Network(g, policy=LOCAL, seed=3)
-        ref.run(LubyMISNode, protocol="luby_mis")  # burn run counter 1
-        golden = frozenset(luby_mis(ref))
+        ref.run(IsraeliItaiNode, protocol="israeli_itai")  # burn run 1
+        golden = _matching(ref)
         net = _network(g, LOCAL, 3, 2)
         try:
             with pytest.raises(TypeError, match="pickle"):
-                net.run(LubyMISNode, protocol="luby_mis",
+                net.run(IsraeliItaiNode, protocol="israeli_itai",
                         shared={"lock": threading.Lock()})
             assert net._sharded_execs[2].broken
-            assert frozenset(luby_mis(net)) == golden  # fresh pool
+            assert _matching(net) == golden  # fresh pool
             assert not net._sharded_execs[2].broken
         finally:
             net.close()
@@ -555,14 +548,14 @@ class TestSelection:
     def test_explicit_shards_engage(self):
         net = self._eligible_net(execution=_sharded(1))
         try:
-            assert _selects_shards(net, LubyMISNode)
+            assert _selects_shards(net, IsraeliItaiNode)
         finally:
             net.close()
 
     def test_shards_argument_implies_opt_in_on_csr(self):
         net = self._eligible_net(execution=ExecutionPlan(shards=1))
         try:
-            assert _selects_shards(net, LubyMISNode)
+            assert _selects_shards(net, IsraeliItaiNode)
         finally:
             net.close()
 
@@ -571,7 +564,7 @@ class TestSelection:
         try:
             # 30 nodes is far below the auto threshold
             assert resolve_shards(net) is None
-            assert not _selects_shards(net, LubyMISNode)
+            assert not _selects_shards(net, IsraeliItaiNode)
         finally:
             net.close()
 
@@ -584,32 +577,32 @@ class TestSelection:
             # auto-sharding composes with the in-process kernel tier
             # instead of deferring to it
             assert resolve_shards(net) == 4
-            assert _selects_shards(net, LubyMISNode)
+            assert _selects_shards(net, IsraeliItaiNode)
         finally:
             net.close()
 
     def test_shard_safety_is_declared_not_inferred(self):
-        from repro.congest.kernels import RoundKernel, kernel_for
+        from repro.congest import kernels
+        from repro.congest.kernels import RoundKernel
 
         # opt-in per audited kernel: the base class never volunteers
-        assert RoundKernel.shardable is False
+        assert RoundKernel.shard_words == 0
 
         class Unaudited(RoundKernel):
             pass
 
-        assert Unaudited.shardable is False
-        for node_cls in (IsraeliItaiNode, LubyMISNode, CountingNode,
-                         TokenNode):
-            assert kernel_for(node_cls).shardable is True, node_cls
+        assert Unaudited.shard_words == 0
+        for node_cls in (LubyMISNode, CountingNode, TokenNode):
+            assert kernels.kernel_for(node_cls).shard_words == 0, node_cls
+        declared = [cls for cls in kernels._REGISTRY.values()
+                    if cls.shard_words > 0]
+        assert declared == [IsraeliItaiKernel]
 
     def test_unaudited_kernel_never_shards(self, monkeypatch):
-        from repro.congest import kernels
-
-        monkeypatch.setattr(kernels.kernel_for(LubyMISNode),
-                            "shardable", False)
+        monkeypatch.setattr(IsraeliItaiKernel, "shard_words", 0)
         net = self._eligible_net(execution=_sharded(1))
         try:
-            assert not _selects_shards(net, LubyMISNode)
+            assert not _selects_shards(net, IsraeliItaiNode)
         finally:
             net.close()
 
@@ -629,17 +622,17 @@ class TestSelection:
         }
         try:
             for label, net in cases.items():
-                assert not _selects_shards(net, LubyMISNode), label
+                assert not _selects_shards(net, IsraeliItaiNode), label
             net = self._eligible_net(execution=_sharded(1))
             cases["clean"] = net
             # unregistered factory (a subclass) and callable shared values
-            class SubLuby(LubyMISNode):
+            class SubIsraeliItai(IsraeliItaiNode):
                 pass
 
-            assert not _selects_shards(net, SubLuby)
+            assert not _selects_shards(net, SubIsraeliItai)
             assert not _selects_shards(
-                net, LubyMISNode, {"observer": lambda e: None})
-            assert _selects_shards(net, LubyMISNode)
+                net, IsraeliItaiNode, {"observer": lambda e: None})
+            assert _selects_shards(net, IsraeliItaiNode)
         finally:
             for net in cases.values():
                 net.close()
@@ -651,7 +644,8 @@ class TestSelection:
         plain = Network(g, policy=CONGEST, seed=8, execution=_sharded(1))
         try:
             assert plain.explain_execution(
-                LubyMISNode, {"observer": lambda e: None}).tier == "kernel"
+                IsraeliItaiNode,
+                {"observer": lambda e: None}).tier == "kernel"
         finally:
             plain.close()
         results = {}
@@ -680,22 +674,22 @@ class TestSelection:
         net = self._eligible_net(execution=ExecutionPlan(shards=0))
         try:
             assert resolve_shards(net) is None
-            assert not _selects_shards(net, LubyMISNode)
+            assert not _selects_shards(net, IsraeliItaiNode)
         finally:
             net.close()
 
     def test_close_is_idempotent_and_network_stays_usable(self):
         g = gnp(40, 0.15, rng=1)
         ref = Network(g, policy=LOCAL, seed=1)
-        first = frozenset(luby_mis(ref))
-        second = frozenset(luby_mis(ref))  # run counter advances the rng
+        first = _matching(ref)
+        second = _matching(ref)  # run counter advances the rng
         net = Network(g, policy=LOCAL, seed=1, execution=_sharded(2))
         try:
-            assert frozenset(luby_mis(net)) == first
+            assert _matching(net) == first
             net.close()
             net.close()
             # a fresh pool is built on demand, resuming the run counter
-            assert frozenset(luby_mis(net)) == second
+            assert _matching(net) == second
             assert _metrics_tuple(net.metrics) == _metrics_tuple(ref.metrics)
         finally:
             net.close()

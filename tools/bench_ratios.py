@@ -39,8 +39,9 @@ Suites (default: all of them, in this order):
     twice).  Targets: israeli_itai and luby_mis >= 3x with numpy, >= 1.2x
     on the fallback.
 ``shards``
-    ``israeli_itai`` and ``luby_mis``, in-process ``kernel`` vs
-    ``sharded-kernel`` at 1, 2 and 4 shards on gnp(10000, degree 16).
+    ``israeli_itai`` (the one kernel audited for shard workers),
+    in-process ``kernel`` vs ``sharded-kernel`` at 1, 2 and 4 shards on
+    gnp(10000, degree 16).
     Both sides keep one network and warm it before the clock starts, so
     the worker pool is spawned once, as a long experiment amortizes it.
     Target: >= 1.5x at 4 shards.  A shard count above the host's cores
@@ -439,25 +440,23 @@ def shard_rows(n: int = 10_000) -> List[Row]:
     g = gnp(n, KERNEL_DEGREE / (n - 1), rng=7)
     build = partial(Network, g, policy=CONGEST, seed=7)
     cores = os.cpu_count() or 1
+    run = partial(congest, ii_edges)
     rows = []
-    for name, protocol in (("israeli_itai", ii_edges),
-                           ("luby_mis", mis_nodes)):
-        run = partial(congest, protocol)
-        for shards in SHARD_COUNTS:
-            plan = ExecutionPlan(tier="sharded-kernel", shards=shards)
-            row = Row(f"shards/{name}[{shards}]",
-                      f"gnp({n}, degree {KERNEL_DEGREE})", "kernel",
-                      f"sharded-kernel, {shards} shard(s)",
-                      target=1.5 if shards == max(SHARD_COUNTS) else None,
-                      pairs=SHARD_PAIRS)
-            if shards > cores:
-                row.skip = (f"{shards} shards > {cores} core(s): no "
-                            f"parallel speedup is physically possible")
-            else:
-                row.samples = (
-                    persistent(partial(build, execution="kernel"), run),
-                    persistent(partial(build, execution=plan), run))
-            rows.append(row)
+    for shards in SHARD_COUNTS:
+        plan = ExecutionPlan(tier="sharded-kernel", shards=shards)
+        row = Row(f"shards/israeli_itai[{shards}]",
+                  f"gnp({n}, degree {KERNEL_DEGREE})", "kernel",
+                  f"sharded-kernel, {shards} shard(s)",
+                  target=1.5 if shards == max(SHARD_COUNTS) else None,
+                  pairs=SHARD_PAIRS)
+        if shards > cores:
+            row.skip = (f"{shards} shards > {cores} core(s): no "
+                        f"parallel speedup is physically possible")
+        else:
+            row.samples = (
+                persistent(partial(build, execution="kernel"), run),
+                persistent(partial(build, execution=plan), run))
+        rows.append(row)
     return rows
 
 
