@@ -41,19 +41,20 @@ Quick start::
                  profile=True)
     print(result.trace_path, result.profile)
 
-    # pick how protocols execute with one knob: a tier name or a full plan
-    # (Israeli-Itai, behind "maximal", is the protocol shard workers run)
+    # pick how protocols execute with one knob: a tier name or a full plan;
+    # "auto" never shards by graph size — shard workers start only when a
+    # plan asks for them (Israeli-Itai, behind "maximal", is what they run)
     result = run("maximal", graph, execution="sharded-kernel")
     result = run("maximal", graph,
                  execution=ExecutionPlan(tier="auto", shards=4))
 
     # dynamic graphs: stream updates through the same facade...
     result = run("stream", graph, updates=[("insert", 0, 105),
-                                           ("delete", 3, 101)], eps=0.25)
+                                           ("delete", 3, 110)], eps=0.25)
     # ...or hold a long-lived service and commit batches interactively
     from repro import MatchingService
     with MatchingService(graph, eps=0.25) as svc:
-        svc.insert_edge(0, 105).delete_edge(3, 101)
+        svc.insert_edge(0, 105).delete_edge(3, 110)
         svc.commit()
         print(svc.snapshot().size, svc.verify_invariant())
 
@@ -98,7 +99,7 @@ from .graphs import BipartiteGraph, Graph
 from .matching import Matching
 from .stream import EdgeUpdate, MatchingService, StreamResult
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "ALGORITHMS",

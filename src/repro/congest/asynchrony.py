@@ -25,13 +25,16 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..graphs.graph import Graph
 from ..observe.events import Observable
 from .message import payload_bits
 from .network import NodeFactory, ProtocolError
 from .node import BROADCAST, NodeAlgorithm, NodeContext
+
+if TYPE_CHECKING:  # repro.dist imports this package; hints only
+    from ..dist.random_tools import SplitMixStream
 
 # envelope = (kind, payload, final): kind "m" (message) or "p" (pulse);
 # final marks the sender's last round, so receivers stop waiting for it
@@ -171,7 +174,7 @@ class AsyncNetwork:
         from ..dist.random_tools import NodeStreams
         self._streams = NodeStreams(seed)
 
-    def node_rng(self, node_id: int, salt: int = 0) -> random.Random:
+    def node_rng(self, node_id: int, salt: int = 0) -> SplitMixStream:
         # the same streams as Network.node_rng at the same run counter, so
         # a program's random stream matches its synchronous execution
         return self._streams.rng(self._run_counter, node_id, salt)
@@ -330,7 +333,7 @@ class SynchronizedNetwork(Observable):
     def _run_counter(self) -> int:
         return self._inner._run_counter
 
-    def node_rng(self, node_id: int, salt: int = 0) -> random.Random:
+    def node_rng(self, node_id: int, salt: int = 0) -> SplitMixStream:
         return self._inner.node_rng(node_id, salt)
 
     def run(self, factory: NodeFactory, protocol: str = "protocol",

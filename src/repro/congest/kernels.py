@@ -46,19 +46,20 @@ numpy is optional: kernels use it for bulk array passes when importable and
 fall back to tight pure-python array code otherwise (``_np`` is the module
 handle; tests monkeypatch it to ``None`` to exercise the fallback).
 
-Randomness: kernels draw per-node randomness from ``random.Random`` objects
-seeded by the same :meth:`~repro.congest.network.Network.node_rng` splitmix64
-chain the per-node path uses, created lazily per node and persisted across
-rounds, with draws issued in exactly the per-node call order — which is what
-makes the streams bit-identical.
+Randomness: kernels draw per-node randomness from the same counter-based
+:class:`~repro.dist.random_tools.SplitMixStream` streams that
+:meth:`~repro.congest.network.Network.node_rng` hands the per-node path,
+created lazily per node and persisted across rounds, with draws issued in
+exactly the per-node call order — which is what makes the streams
+bit-identical.
 """
 
 from __future__ import annotations
 
-import random
 from array import array
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple, Type)
 
 try:  # numpy is an optional accelerator, never a requirement
     import numpy as _np
@@ -66,6 +67,9 @@ except Exception:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
 
 from .network import Network
+
+if TYPE_CHECKING:  # repro.dist imports this package; hints only
+    from ..dist.random_tools import SplitMixStream
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +216,9 @@ class ShardContext:
         self.owned = owned
         self.policy = policy
         self.charge_cache = charge_cache
-        #: per-run node-id -> random.Random factory (set by the worker
+        #: per-run node-id -> node stream factory (set by the worker
         #: before each run; replicates ``Network.node_rng`` bit-exactly)
-        self.node_rng: Optional[Callable[[int], random.Random]] = None
+        self.node_rng: Optional[Callable[[int], SplitMixStream]] = None
         #: record width of the active kernel (set by the worker)
         self.record_width = 1
         # per-round staging and traffic accumulators
@@ -299,7 +303,7 @@ class RoundKernel:
     def __init__(self, net: Network) -> None:
         self.net = net
         self.arrays = csr_arrays(net)
-        self._rngs: List[Optional[random.Random]] = [None] * self.arrays.n
+        self._rngs: List[Optional[SplitMixStream]] = [None] * self.arrays.n
         self._node_rng = net.node_rng
         self._policy = net.policy
         self._charge_cache = net._charge_cache
@@ -330,11 +334,11 @@ class RoundKernel:
         return self
 
     # -- services for subclasses ----------------------------------------
-    def rng(self, i: int) -> random.Random:
+    def rng(self, i: int) -> SplitMixStream:
         """Node index ``i``'s private stream (lazily created, persistent).
 
-        Seeded exactly like the per-node path's ``NodeContext.rng``; since
-        creating a ``random.Random`` consumes nothing, lazy creation keeps
+        Keyed exactly like the per-node path's ``NodeContext.rng``; since
+        creating a stream consumes nothing, lazy creation keeps
         the streams bit-identical while skipping nodes that never draw.
         """
         r = self._rngs[i]

@@ -51,7 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..graphs.graph import Graph
 from ..models.execution import ExecutionDecision, as_plan, resolve_execution
@@ -70,6 +70,9 @@ from .message import payload_bits, payload_bits_fast
 from ..runtime.metrics import Metrics
 from .node import BROADCAST, NodeAlgorithm, NodeContext
 from .policies import CONGEST, BandwidthPolicy
+
+if TYPE_CHECKING:  # repro.dist imports this package; hints only
+    from ..dist.random_tools import SplitMixStream
 
 NodeFactory = Callable[[NodeContext], NodeAlgorithm]
 RoundHook = Callable[[int, "Network"], None]
@@ -147,8 +150,8 @@ class Network(Observable):
     shorthand like ``"node"``) naming the highest performance tier the
     network may use — ``sharded-kernel``, ``kernel``, ``node`` or
     ``legacy``; the default plan (``tier="auto"``) engages vectorized
-    kernels whenever a protocol registers one and shard workers on top
-    when requested or when the auto rules fire.  Use
+    kernels whenever a protocol registers one, and shard workers on top
+    only when the plan asks for them (``shards=k``).  Use
     :meth:`explain_execution` to see how a plan resolves for a protocol.
 
     ``max_rounds`` sets the default round limit for every :meth:`run` on
@@ -262,7 +265,7 @@ class Network(Observable):
                 for i, (v, nbrs) in enumerate(self._neighbor_cache.items())}
 
     # ------------------------------------------------------------------
-    def node_rng(self, node_id: int, salt: int = 0) -> random.Random:
+    def node_rng(self, node_id: int, salt: int = 0) -> SplitMixStream:
         """A deterministic private random stream for a node.
 
         Seeds come from the splitmix64 :func:`~repro.dist.random_tools.

@@ -13,9 +13,11 @@ W_max — the paper's standing assumptions), and a private random stream.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+
+if TYPE_CHECKING:  # repro.dist imports this package; hints only
+    from ..dist.random_tools import SplitMixStream
 
 BROADCAST = "*"
 
@@ -37,7 +39,7 @@ class NodeContext:
     neighbors: Tuple[int, ...]
     edge_weights: Mapping[int, float]
     n: int
-    rng: random.Random
+    rng: SplitMixStream
     shared: Mapping[str, Any] = field(default_factory=dict)
     degree: int = field(init=False)
 
@@ -79,7 +81,7 @@ class NodeAlgorithm:
         return self.ctx.neighbors
 
     @property
-    def rng(self) -> random.Random:
+    def rng(self) -> SplitMixStream:
         return self.ctx.rng
 
     def halt(self, output: Any = None) -> Outbox:

@@ -72,11 +72,8 @@ from functools import partial
 from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-#: Auto-sharding engages only at or above this node count (smaller
-#: networks round-trip the pool faster than they compute).
-AUTO_SHARD_MIN_NODES = 4096
-
-#: Auto-sharding never uses more shards than this (or the core count).
+#: ``tier="sharded-kernel"`` without ``shards=k`` uses this many shards
+#: (or the core count, when that is smaller).
 MAX_AUTO_SHARDS = 4
 
 #: Default partition balance guard: max shard size may not exceed
@@ -904,21 +901,17 @@ class ShardedNetwork:
 def resolve_shards(net: Any) -> Optional[int]:
     """How many shards a run on ``net`` should use, or None for none.
 
-    The ladder: ``shards=0`` in the plan disables sharding (the kill
-    switch); ``shards=k`` forces ``k``; ``tier="sharded-kernel"`` opts in
-    with the default count; otherwise auto-sharding engages for large
-    networks (>= :data:`AUTO_SHARD_MIN_NODES` nodes) on multi-core
-    machines.
+    Only a plan that asks for shards gets them: ``shards=0`` is the kill
+    switch, ``shards=k`` forces ``k``, and ``tier="sharded-kernel"`` opts
+    in with :data:`MAX_AUTO_SHARDS` (at most the core count).  Any other
+    plan — ``tier="auto"`` included, whatever the graph's size — runs in
+    one process.
     """
     plan = net.execution_plan
     if plan.shards == 0:
         return None
     if plan.shards is not None:
         return plan.shards
-    cores = os.cpu_count() or 1
     if plan.tier == "sharded-kernel":
-        return min(MAX_AUTO_SHARDS, cores)
-    if (plan.tier == "auto" and cores >= 2
-            and net.graph.num_nodes >= AUTO_SHARD_MIN_NODES):
-        return min(MAX_AUTO_SHARDS, cores)
+        return min(MAX_AUTO_SHARDS, os.cpu_count() or 1)
     return None

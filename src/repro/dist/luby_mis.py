@@ -111,7 +111,6 @@ class LubyMISKernel(RoundKernel):
         n = A.n
         cap = max(2, n) ** 4
         self.cap = cap
-        self._cap_bits = cap.bit_length()
         # the packed-key path needs draw * n + idx to fit in int64
         np = A.np if (A.np is not None and cap * (n + 1) < 2 ** 63) else None
         self.np = np
@@ -129,7 +128,7 @@ class LubyMISKernel(RoundKernel):
                 self.out[i] = True  # isolated: joins immediately
                 continue
             live.append(i)
-            self.draw[i] = self._redraw(i)
+            self.draw[i] = self.rng(i).randint(1, cap)
             pending_draws.append((i, deg))
         self.live = live
         self.pending_draws = pending_draws
@@ -166,22 +165,6 @@ class LubyMISKernel(RoundKernel):
             self.winner_at = [0] * n
             for i, _ in pending_draws:
                 self.drawn_at[i] = 1
-
-    def _redraw(self, i: int) -> int:
-        """``rng.randint(1, cap)`` with the interpreter frames peeled off.
-
-        ``randint(1, cap)`` reduces to ``1 + Random._randbelow(cap)``, and
-        ``_randbelow`` is a fixed-width ``getrandbits`` rejection loop; this
-        replays that loop directly, consuming the identical bit stream (the
-        kernel golden tests pin the equivalence) at a third of the cost.
-        """
-        gb = self.rng(i).getrandbits
-        cap = self.cap
-        k = self._cap_bits
-        v = gb(k)
-        while v >= cap:
-            v = gb(k)
-        return v + 1
 
     # -- pricing ----------------------------------------------------------
     def _price_round(self, rnd: int) -> int:
@@ -381,7 +364,7 @@ class LubyMISKernel(RoundKernel):
                     out[i] = True  # isolated among actives: no rng draw
                     continue
                 new_live.append(i)
-                v = self._redraw(i)
+                v = self.rng(i).randint(1, self.cap)
                 draw[i] = v
                 surv.append(i)
                 vals.append(v)
@@ -435,7 +418,7 @@ class LubyMISKernel(RoundKernel):
                     out[i] = True  # isolated among actives: no rng draw
                     continue
                 new_live.append(i)
-                draw[i] = self._redraw(i)
+                draw[i] = self.rng(i).randint(1, self.cap)
                 pending_draws.append((i, cnt))
                 self.drawn_at[i] = rnd + 1
             if flat:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, TypeVar, Union
 
 _MASK64 = (1 << 64) - 1
 #: splitmix64 increment / finalizer constants (Steele et al.); the same
@@ -14,8 +14,10 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_TWO_POW_MINUS_53 = 2.0 ** -53
 
 PathElement = Union[int, str]
+T = TypeVar("T")
 
 
 def _splitmix64(x: int) -> int:
@@ -99,11 +101,66 @@ def node_seed_from_prefix(prefix: int, node_id: int) -> int:
     return _splitmix64(prefix ^ (node_id & _MASK64))
 
 
+class SplitMixStream:
+    """One node's private random stream: counter-based splitmix64.
+
+    Draw ``i`` of the stream keyed ``key`` is ``_splitmix64(key + i*γ)``
+    — the plain splitmix64 sequence seeded with ``key`` — so a stream is
+    one 64-bit word of state (no 2.5 KB Mersenne Twister to seed) and any
+    draw of any node is a closed formula of ``(key, i)``.  Every bounded
+    draw goes through :meth:`below`, one multiply-shift with no rejection
+    loop, which numpy can evaluate for many keys at once.
+
+    Only the methods node programs call exist: :meth:`random`,
+    :meth:`choice`, :meth:`randrange` and :meth:`randint`.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, key: int) -> None:
+        self._state = key & _MASK64
+
+    def random(self) -> float:
+        """A float in [0, 1): the draw's top 53 bits times 2**-53."""
+        x = self._state
+        self._state = (x + _GAMMA) & _MASK64
+        return (_splitmix64(x) >> 11) * _TWO_POW_MINUS_53
+
+    def below(self, n: int) -> int:
+        """An int in [0, n) for ``n >= 1``: ``(draw * n) >> 64``.
+
+        Lemire's multiply-shift without the rejection step; its bias is
+        under ``n / 2**64``.  For ``n > 2**64`` the result takes 2**64
+        evenly spaced values of the range.
+        """
+        x = self._state
+        self._state = (x + _GAMMA) & _MASK64
+        return (_splitmix64(x) * n) >> 64
+
+    def randrange(self, start: int, stop: Optional[int] = None) -> int:
+        """An int in [start, stop), or in [0, start) without ``stop``."""
+        if stop is None:
+            start, stop = 0, start
+        if stop <= start:
+            raise ValueError(f"empty range for randrange({start}, {stop})")
+        return start + self.below(stop - start)
+
+    def randint(self, a: int, b: int) -> int:
+        """An int in [a, b], both ends included."""
+        return self.randrange(a, b + 1)
+
+    def choice(self, seq: Sequence[T]) -> T:
+        """A uniformly chosen member of the non-empty ``seq``."""
+        if not seq:
+            raise IndexError("cannot choose from an empty sequence")
+        return seq[self.below(len(seq))]
+
+
 class NodeStreams:
     """The private per-node random streams of one executor.
 
-    Node ``v``'s stream in protocol run ``run`` under ``salt`` is a
-    ``random.Random`` seeded with ``node_stream_seed(seed, run, v, salt)``.
+    Node ``v``'s stream in protocol run ``run`` under ``salt`` is the
+    :class:`SplitMixStream` keyed ``node_stream_seed(seed, run, v, salt)``.
     The chain prefix of the last ``(run, salt)`` is cached, so spinning up
     all n streams of a run costs one finalization per node.  The
     synchronous, asynchronous and sharded executors all draw node streams
@@ -118,15 +175,15 @@ class NodeStreams:
         self._salt = -1
         self._prefix = 0
 
-    def rng(self, run: int, node_id: int, salt: int = 0) -> random.Random:
+    def rng(self, run: int, node_id: int, salt: int = 0) -> SplitMixStream:
         """Node ``node_id``'s stream in run ``run`` under ``salt``."""
         if run != self._run or salt != self._salt:
             self._prefix = node_stream_prefix(self.seed, run, salt)
             self._run, self._salt = run, salt
-        return random.Random(node_seed_from_prefix(self._prefix, node_id))
+        return SplitMixStream(node_seed_from_prefix(self._prefix, node_id))
 
 
-def sample_max_uniform(rng: random.Random, count: int, cap: int) -> int:
+def sample_max_uniform(rng: SplitMixStream, count: int, cap: int) -> int:
     """One draw distributed as the maximum of ``count`` uniforms on {1..cap}.
 
     This is the paper's Section 3.2 trick: a leader owning ``count``
@@ -146,7 +203,7 @@ def sample_max_uniform(rng: random.Random, count: int, cap: int) -> int:
     return min(max(value, 1), cap)
 
 
-def weighted_choice(rng: random.Random, weights: Dict[int, int]) -> int:
+def weighted_choice(rng: SplitMixStream, weights: Dict[int, int]) -> int:
     """Pick a key with probability proportional to its (integer) weight."""
     keys = sorted(weights)
     total = sum(weights[k] for k in keys)

@@ -18,11 +18,12 @@ the ladder when a rung is ineligible.  The CONGEST rungs, fastest first::
     node             per-node dispatch, single process (the reference)
     legacy           the original per-message dict engine (pinned only)
 
-``tier="auto"`` (the default) applies the auto rules: kernels whenever a
-protocol registers one, sharding on top — for a kernel audited for it —
-when requested or when the network is large and the machine multi-core.
-``shards=None`` follows the auto rules, ``shards=0`` is the kill switch
-(never shard), ``shards=k`` forces ``k`` workers.
+``tier="auto"`` (the default) runs a protocol's registered kernel
+in-process whatever the network's size; sharding — for a kernel audited
+for it — runs only when the plan asks for it.  ``shards=None`` leaves the
+count to the tier (``"sharded-kernel"`` uses the default count, every
+other tier none), ``shards=0`` is the kill switch (never shard),
+``shards=k`` forces ``k`` workers.
 
 :func:`resolve_execution` is the single resolution routine used by both
 ``Network.run`` and ``Network.explain_execution``; the latter collects a
@@ -80,8 +81,9 @@ class ExecutionPlan:
 
     ``tier`` — ``"auto"`` or one of :data:`ALL_TIERS`: the highest rung
     this plan allows (resolution falls down the ladder when a rung is
-    ineligible for a given run).  ``shards`` — None follows the auto
-    rules, ``0`` disables sharding entirely (the kill switch),
+    ineligible for a given run).  ``shards`` — None leaves the count to
+    the tier (``"sharded-kernel"`` uses the default count, ``"auto"``
+    none), ``0`` disables sharding entirely (the kill switch),
     ``k >= 1`` forces ``k`` workers.
     """
 
@@ -212,10 +214,9 @@ def resolve_execution(net: Any, factory: Any = None,
         k = _sharding.resolve_shards(net)
         n = net.graph.num_nodes
         if k is None:
-            shard_why = ("no shard count resolved (not requested, and "
-                         "the auto rules did not fire — they need "
-                         f">= {_sharding.AUTO_SHARD_MIN_NODES} nodes and "
-                         f">= 2 cores, with no kill switch set)")
+            shard_why = ("no shard count resolved (the plan asks for "
+                         "none: only shards=k or tier 'sharded-kernel' "
+                         "spawns shard workers)")
         elif not kernel_cls.shard_words:
             shard_why = (f"{kernel_cls.__name__} declares no shard hooks "
                          f"(shard_words == 0: it is not audited for "

@@ -301,7 +301,7 @@ _MASK64 = (1 << 64) - 1
 def edge_sample_unit(sender: int, receiver: int) -> float:
     """A deterministic pseudo-uniform value in [0, 1) for a directed edge.
 
-    Sampling must not consume any :class:`random.Random` stream (that would
+    Sampling must not consume any node's random stream (that would
     perturb the algorithms being observed), so it hashes the edge instead:
     a subscriber with ``sample=r`` receives exactly the messages whose
     edge hashes below ``r`` — the *same* edges in every round and every

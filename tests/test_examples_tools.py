@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
-TOOLS = sorted((Path(__file__).parent.parent / "tools").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 def load_module(path: Path):
@@ -34,6 +35,15 @@ def test_six_examples_present():
         "ring_worst_case",
         "cellular_coverage",
     } <= names
+
+
+def test_readme_quickstart_runs(capsys):
+    # the first python block under README's Quickstart heading, verbatim
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("\n## Quickstart\n", 1)[1]
+    block = quickstart.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md (Quickstart)", "exec"), {})
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("path", TOOLS, ids=lambda p: p.stem)

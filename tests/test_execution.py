@@ -167,8 +167,8 @@ class TestExplainExecution:
         assert any("2 shard" in r for r in decision.reasons)
 
     def test_auto_on_a_small_host_graph(self):
-        # 30 nodes is below the auto-shard threshold: the sharded rung is
-        # skipped with a reason and the in-process kernel wins
+        # auto never shards: the sharded rung is skipped with a reason
+        # and the in-process kernel wins
         decision = self._explain()
         assert decision.tier == "kernel"
         probe = ("numpy probe: available — eligible kernels run their "
@@ -179,9 +179,9 @@ class TestExplainExecution:
             "model 'congest': resolving plan tier 'auto' on the CONGEST "
             "execution ladder (sharded-kernel > kernel > node > legacy)",
             probe,
-            "tier 'sharded-kernel': skipped — no shard count resolved (not "
-            "requested, and the auto rules did not fire — they need >= "
-            "4096 nodes and >= 2 cores, with no kill switch set)",
+            "tier 'sharded-kernel': skipped — no shard count resolved (the "
+            "plan asks for none: only shards=k or tier 'sharded-kernel' "
+            "spawns shard workers)",
             "tier 'kernel': selected — LubyMISKernel runs in-process",
         )
 

@@ -14,7 +14,6 @@ the slow path actually does, and the fast path engages when nothing does.
 """
 
 import pathlib
-import random
 import subprocess
 import sys
 
@@ -50,6 +49,7 @@ from repro.dist.israeli_itai import IsraeliItaiNode, israeli_itai
 from repro.dist.luby_mis import LubyMISNode, luby_mis
 from repro.dist.token_mis import run_token_selection
 from repro.dist.random_tools import (
+    SplitMixStream,
     node_seed_from_prefix,
     node_stream_prefix,
     node_stream_seed,
@@ -463,7 +463,7 @@ class TestRngDerivation:
         net = Network(path_graph(4), seed=5)
         net._run_counter = 3
         expected = node_stream_seed(5, 3, 2, salt=0)
-        assert net.node_rng(2).random() == random.Random(expected).random()
+        assert net.node_rng(2).random() == SplitMixStream(expected).random()
 
 
 NUMPY_ABSENT_SCRIPT = """

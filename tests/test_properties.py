@@ -6,7 +6,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.congest.message import int_bits, payload_bits
+from repro.congest.message import int_bits, payload_bits, payload_bits_fast
 from repro.dist.random_tools import sample_max_uniform, weighted_choice
 from repro.dist.weighted.gain import apply_wraps, residual_graph, residual_weights
 from repro.graphs import Graph, edge_key, gnp
@@ -184,6 +184,7 @@ def test_int_bits_monotone_in_magnitude(x):
 def test_payload_bits_positive_and_superadditive(payload):
     bits = payload_bits(payload)
     assert bits >= 1
+    assert payload_bits_fast(payload) == bits
     if isinstance(payload, tuple):
         assert bits >= sum(payload_bits(x) for x in payload)
 

@@ -159,7 +159,8 @@ class TestPartitioner:
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin",
+                 "PYTHONDONTWRITEBYTECODE": "1"},
             capture_output=True, text=True, check=True)
         lines = out.stdout.strip().splitlines()
         assert lines[0] == repr(local.owner)
@@ -559,27 +560,21 @@ class TestSelection:
         finally:
             net.close()
 
-    def test_auto_requires_size_and_cores(self):
-        net = self._eligible_net()
-        try:
-            # 30 nodes is far below the auto threshold
-            assert resolve_shards(net) is None
-            assert not _selects_shards(net, IsraeliItaiNode)
-        finally:
-            net.close()
-
-    def test_auto_sharding_composes_with_kernels(self, monkeypatch):
-        monkeypatch.setattr(sharding, "AUTO_SHARD_MIN_NODES", 10)
+    def test_auto_never_shards_a_large_graph(self, monkeypatch):
+        # however large the graph and however many cores, "auto" runs
+        # the in-process kernel; only an explicit plan spawns workers
         monkeypatch.setattr(sharding.os, "cpu_count", lambda: 4)
-        net = self._eligible_net()
+        g = path_graph(4800)
+        auto = Network(g, seed=0)
+        forced = Network(g, seed=0, execution=ExecutionPlan(shards=2))
         try:
-            # shard workers run the kernel fast path themselves, so
-            # auto-sharding composes with the in-process kernel tier
-            # instead of deferring to it
-            assert resolve_shards(net) == 4
-            assert _selects_shards(net, IsraeliItaiNode)
+            assert resolve_shards(auto) is None
+            assert auto.explain_execution(IsraeliItaiNode).tier == "kernel"
+            decision = forced.explain_execution(IsraeliItaiNode)
+            assert (decision.tier, decision.shards) == ("sharded-kernel", 2)
         finally:
-            net.close()
+            auto.close()
+            forced.close()
 
     def test_shard_safety_is_declared_not_inferred(self):
         from repro.congest import kernels
