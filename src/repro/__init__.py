@@ -42,11 +42,11 @@ Quick start::
     print(result.trace_path, result.profile)
 
     # pick how protocols execute with one knob: a tier name or a full plan;
-    # "auto" never shards by graph size — shard workers start only when a
-    # plan asks for them (Israeli-Itai, behind "maximal", is what they run)
-    result = run("maximal", graph, execution="sharded-kernel")
-    result = run("maximal", graph,
-                 execution=ExecutionPlan(tier="auto", shards=4))
+    # "auto" runs a protocol's kernel in-process whatever the graph's size
+    # (shard workers start only when a plan asks for them), "node" pins
+    # the per-node reference path
+    result = run("maximal", graph, execution="node")
+    result = run("maximal", graph, execution=ExecutionPlan(tier="kernel"))
 
     # dynamic graphs: stream updates through the same facade...
     result = run("stream", graph, updates=[("insert", 0, 105),

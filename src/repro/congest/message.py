@@ -62,14 +62,12 @@ def payload_bits(payload: Any) -> int:
 
 
 def payload_bits_fast(payload: Any) -> int:
-    """:func:`payload_bits` with the common cases inlined.
+    """:func:`payload_bits` with the scalar cases inlined.
 
     Prices the overwhelmingly common payload types (None, bool, int, float)
-    and flat tuples of ints and strs — tagged records like ``("T", value,
-    leader)`` — without recursing; any other container falls through to
-    :func:`payload_bits`.  Always returns the same value as
-    :func:`payload_bits` — the batched engine's golden-equivalence tests
-    depend on that.
+    without recursing; containers fall through to :func:`payload_bits`.
+    Always returns the same value as :func:`payload_bits` — the batched
+    engine's golden-equivalence tests depend on that.
     """
     if payload is None or payload is True or payload is False:
         return 1
@@ -79,21 +77,6 @@ def payload_bits_fast(payload: Any) -> int:
         return body + body + 2 if body else 4
     if tp is float:
         return 64
-    if tp is tuple:
-        body = len(payload).bit_length()
-        total = STRUCT_OVERHEAD_BITS + (body + body + 2 if body else 4)
-        for x in payload:
-            tx = type(x)
-            if tx is int:
-                body = (x if x >= 0 else -x).bit_length()
-            elif tx is str:
-                body = len(x)
-                total += 8 * body
-                body = body.bit_length()
-            else:
-                return payload_bits(payload)
-            total += body + body + 2 if body else 4
-        return total
     return payload_bits(payload)
 
 

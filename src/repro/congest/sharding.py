@@ -901,15 +901,13 @@ class ShardedNetwork:
 def resolve_shards(net: Any) -> Optional[int]:
     """How many shards a run on ``net`` should use, or None for none.
 
-    Only a plan that asks for shards gets them: ``shards=0`` is the kill
-    switch, ``shards=k`` forces ``k``, and ``tier="sharded-kernel"`` opts
-    in with :data:`MAX_AUTO_SHARDS` (at most the core count).  Any other
-    plan — ``tier="auto"`` included, whatever the graph's size — runs in
-    one process.
+    Only a plan that asks for shards gets them: ``shards=k`` forces
+    ``k``, and ``tier="sharded-kernel"`` opts in with
+    :data:`MAX_AUTO_SHARDS` (at most the core count).  Any other plan —
+    ``tier="auto"`` included, whatever the graph's size — runs in one
+    process.
     """
     plan = net.execution_plan
-    if plan.shards == 0:
-        return None
     if plan.shards is not None:
         return plan.shards
     if plan.tier == "sharded-kernel":

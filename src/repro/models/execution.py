@@ -22,8 +22,7 @@ the ladder when a rung is ineligible.  The CONGEST rungs, fastest first::
 in-process whatever the network's size; sharding — for a kernel audited
 for it — runs only when the plan asks for it.  ``shards=None`` leaves the
 count to the tier (``"sharded-kernel"`` uses the default count, every
-other tier none), ``shards=0`` is the kill switch (never shard),
-``shards=k`` forces ``k`` workers.
+other tier none), ``shards=k`` forces ``k`` workers.
 
 :func:`resolve_execution` is the single resolution routine used by both
 ``Network.run`` and ``Network.explain_execution``; the latter collects a
@@ -83,8 +82,7 @@ class ExecutionPlan:
     this plan allows (resolution falls down the ladder when a rung is
     ineligible for a given run).  ``shards`` — None leaves the count to
     the tier (``"sharded-kernel"`` uses the default count, ``"auto"``
-    none), ``0`` disables sharding entirely (the kill switch),
-    ``k >= 1`` forces ``k`` workers.
+    none), ``k >= 1`` forces ``k`` workers.
     """
 
     tier: str = "auto"
@@ -95,8 +93,8 @@ class ExecutionPlan:
             raise ValueError(
                 f"unknown execution tier {self.tier!r}; use 'auto' or one "
                 f"of {', '.join(ALL_TIERS)}")
-        if self.shards is not None and self.shards < 0:
-            raise ValueError("shards must be >= 0 (0 disables sharding)")
+        if self.shards is not None and self.shards < 1:
+            raise ValueError("shards must be None or >= 1")
         if self.shards and self.tier not in ("auto", "sharded-kernel"):
             raise ValueError(
                 f"tier {self.tier!r} never shards; drop shards= or pick "

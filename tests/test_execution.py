@@ -91,8 +91,9 @@ class TestExecutionPlan:
         assert ExecutionPlan(tier="mpc_kernel").tier == "mpc_kernel"
 
     def test_contradictory_plans_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionPlan(shards=-1)
+        for shards in (-1, 0):
+            with pytest.raises(ValueError, match="None or >= 1"):
+                ExecutionPlan(shards=shards)
         for tier in ("kernel", "mpc_kernel", "node", "legacy"):
             with pytest.raises(ValueError):
                 ExecutionPlan(tier=tier, shards=2)
@@ -197,12 +198,6 @@ class TestExplainExecution:
         decision = self._net().explain_execution(no_kernel_factory)
         assert decision.tier == "node"
         assert any("no RoundKernel is registered" in r
-                   for r in decision.reasons)
-
-    def test_shards_zero_kill_switch_reason(self):
-        decision = self._explain(execution=ExecutionPlan(shards=0))
-        assert decision.tier == "kernel"
-        assert any("kill switch" in r or "no shard count resolved" in r
                    for r in decision.reasons)
 
     def test_numpy_probe_reported(self):

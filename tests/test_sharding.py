@@ -560,6 +560,15 @@ class TestSelection:
         finally:
             net.close()
 
+    def test_auto_requires_size_and_cores(self):
+        net = self._eligible_net()
+        try:
+            # "auto" asks for no shard count, so it never shards
+            assert resolve_shards(net) is None
+            assert not _selects_shards(net, IsraeliItaiNode)
+        finally:
+            net.close()
+
     def test_auto_never_shards_a_large_graph(self, monkeypatch):
         # however large the graph and however many cores, "auto" runs
         # the in-process kernel; only an explicit plan spawns workers
@@ -663,15 +672,6 @@ class TestSelection:
         with pytest.raises(ValueError):
             Network(path_graph(4),
                     execution=ExecutionPlan(tier="legacy", shards=2))
-
-    def test_shards_zero_is_a_kill_switch(self):
-        # shards=0 pins single-process execution instead of raising
-        net = self._eligible_net(execution=ExecutionPlan(shards=0))
-        try:
-            assert resolve_shards(net) is None
-            assert not _selects_shards(net, IsraeliItaiNode)
-        finally:
-            net.close()
 
     def test_close_is_idempotent_and_network_stays_usable(self):
         g = gnp(40, 0.15, rng=1)
