@@ -99,7 +99,7 @@ from .graphs import BipartiteGraph, Graph
 from .matching import Matching
 from .stream import EdgeUpdate, MatchingService, StreamResult
 
-__version__ = "9.0.0"
+__version__ = "9.1.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -49,9 +49,14 @@ handle; tests monkeypatch it to ``None`` to exercise the fallback).
 Randomness: kernels draw per-node randomness from the same counter-based
 :class:`~repro.dist.random_tools.SplitMixStream` streams that
 :meth:`~repro.congest.network.Network.node_rng` hands the per-node path,
-created lazily per node and persisted across rounds, with draws issued in
-exactly the per-node call order — which is what makes the streams
-bit-identical.
+with each node's draws taken in exactly the per-node call order — which
+is what makes the streams bit-identical.  Draw ``c`` of node ``v`` is the
+closed formula ``splitmix64(key_v + c·γ)``, so a kernel may take the
+draws one call at a time from :meth:`RoundKernel.rng` (streams created
+lazily per node and persisted across rounds) or, as
+:class:`~repro.dist.israeli_itai.IsraeliItaiKernel`'s array path does,
+for many nodes at once from their keys and per-node draw counters
+(:func:`~repro.dist.random_tools.vec_draws`).
 """
 
 from __future__ import annotations

@@ -275,6 +275,14 @@ class Network(Observable):
         """
         return self._streams.rng(self._run_counter, node_id, salt)
 
+    def node_stream_prefix(self) -> int:
+        """The shared prefix of this run's :meth:`node_rng` keys.
+
+        Node ``v``'s stream is keyed ``node_seed_from_prefix(prefix, v)``,
+        so a kernel can derive every key of a run at once
+        (:func:`~repro.dist.random_tools.vec_node_seeds`)."""
+        return self._streams.prefix(self._run_counter)
+
     def run(self, factory: NodeFactory, protocol: str = "protocol",
             shared: Optional[Dict[str, Any]] = None,
             max_rounds: Optional[int] = None,

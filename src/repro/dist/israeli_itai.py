@@ -27,6 +27,7 @@ from ..congest.network import Network
 from ..congest.node import Inbox, NodeAlgorithm, NodeContext, Outbox
 from ..runtime import as_network, register_map
 from ..graphs.graph import Edge, edge_key
+from .random_tools import vec_below, vec_draws, vec_node_seeds
 from ..matching.core import Matching
 
 # wire tags (single characters keep messages at a few bits)
@@ -120,12 +121,24 @@ class IsraeliItaiNode(NodeAlgorithm):
         return {}
 
 
+#: Live nodes (nodes with an eligible edge) from which an in-process run
+#: takes :class:`IsraeliItaiKernel`'s array path: the measured break-even.
+#: ``israeli_itai`` alone on the kernel tier, ``gnp(n, 3/n)`` (graph seed
+#: 1), 2-core Xeon, numpy 2.4, live nodes: list vs array ms per run:
+#: 15: 0.15 vs 0.54; 63: 0.42 vs 0.75; 122: 0.77 vs 0.84;
+#: 157: 0.96 vs 0.96; 185: 1.12 vs 0.99; 246: 1.50 vs 1.11;
+#: 972: 5.95 vs 1.95; 3899: 24.5 vs 4.6.
+ARRAY_MIN_LIVE = 160
+
+_HALF = 1 << 63  # a draw below 2**63 is the node program's random() < 0.5
+
+
 @register_kernel(IsraeliItaiNode)
 class IsraeliItaiKernel(RoundKernel):
     """Vectorized superstep executor for :class:`IsraeliItaiNode`.
 
     State lives in packed per-node-index arrays (mate, free-degree) plus a
-    per-edge-slot boolean mask ``free[e]`` meaning "the owner of slot ``e``
+    per-edge-slot boolean mask ``mask[e]`` meaning "the owner of slot ``e``
     believes its target is free".  One engine round maps to one :meth:`step`
     in a four-phase cycle mirroring the node program exactly:
 
@@ -142,11 +155,20 @@ class IsraeliItaiKernel(RoundKernel):
       stuck nodes, and stage the next proposals.
 
     All wire tags are single characters (12 bits), so pricing a round is
-    one memoized charge plus a message count.  numpy (when importable)
-    builds the initial free mask and free-degree counts in bulk scatter
-    operations; the round loop itself runs on python lists, whose
-    single-slot probes are faster than numpy scalar boxing at CONGEST
-    degrees.
+    one memoized charge plus a message count.
+
+    The cycle runs on one of two paths, chosen in :meth:`setup`.  The
+    *array path* runs each phase as numpy passes over the slot masks and
+    per-node draw counters: node ``i``'s ``c``-th draw is
+    ``splitmix64(key_i + c·γ)`` (:func:`~repro.dist.random_tools.
+    vec_draws`), the same word its :class:`~repro.dist.random_tools.
+    SplitMixStream` yields, so every stream stays bit-identical.  The
+    *list path* runs the phases as python loops over lists and draws from
+    the node streams one call at a time.  A run takes the array path when
+    numpy is importable, it runs in-process and it starts with at least
+    :data:`ARRAY_MIN_LIVE` live nodes; small runs (where numpy's per-call
+    overhead outweighs the loop), numpy-less installs and shard workers
+    take the list path.
     """
 
     #: audited for shard workers: node-local state, read-only shared,
@@ -159,83 +181,44 @@ class IsraeliItaiKernel(RoundKernel):
     shard_words = 2
 
     def setup(self, shared: Dict[str, Any]) -> None:
+        elig = self._start(shared)
+        np = self.arrays.np
+        if np is not None and self._live_count(np, elig) >= ARRAY_MIN_LIVE:
+            self._setup_arrays(np, elig)
+        else:
+            self._setup_lists(elig)
+
+    def _start(self, shared: Dict[str, Any]) -> Optional[List[List[int]]]:
+        """Set the initial mates; return each node's eligible slots, or
+        None when every slot is eligible (no ``allowed_edges``).
+
+        CSR rows are sorted by neighbor id, so the eligible slots ascend by
+        target id — which keeps the ``rng.choice`` candidate order
+        identical to the node program's ``sorted(free_neighbors)``."""
         A = self.arrays
-        np = A.np
-        n = A.n
         order = A.order
-        tgt = A.tgt
-        initial_mate: Dict[int, Optional[int]] = shared.get("initial_mate", {})
+        initial_mate: Dict[int, Optional[int]] = shared.get("initial_mate",
+                                                            {})
         allowed: Optional[Set[Edge]] = shared.get("allowed_edges")
-
-        self.mate: List[Optional[int]] = [initial_mate.get(v) for v in order]
-        self.finished = [False] * n
-        self.proposed = [False] * n
-
-        # eligible slots per node (CSR rows are sorted by neighbor id, so
-        # these lists are ascending by target id — which keeps the
-        # rng.choice candidate order identical to the node program's
-        # ``sorted(free_neighbors)``)
-        if allowed is None:
-            elig: List[List[int]] = [list(A.row(i)) for i in range(n)]
-        else:
-            elig = []
-            for i in range(n):
-                vid = order[i]
-                elig.append([e for e in A.row(i)
-                             if edge_key(vid, order[tgt[e]]) in allowed])
-        self.elig = elig
-        self.elig_count = [len(s) for s in elig]
-
-        live: List[int] = []
-        announce = 0
-        for i in range(n):
-            if elig[i]:
-                live.append(i)
-                announce += len(elig[i])
-            else:
-                self.finished[i] = True  # start(): no eligible edge -> halt
-        self.live = live
-        self._announce_count = announce
-
-        # per-slot "I believe my target is free" mask and its per-node count.
-        # numpy builds the initial mask in bulk scatters, then hands off to
-        # plain python lists: every later read is a single-slot probe, where
-        # list indexing beats numpy scalar boxing (measured; the per-cycle
-        # pruning touches only the newly matched nodes' few slots)
-        free0 = [m is None for m in self.mate]
-        if np is not None and announce:
-            all_el = (np.concatenate([np.asarray(elig[i], dtype=np.int64)
-                                      for i in live])
-                      if allowed is not None else
-                      np.arange(A.num_slots, dtype=np.int64))
-            np_mask = np.zeros(A.num_slots, dtype=bool)
-            np_mask[all_el] = np.asarray(free0, dtype=bool)[A.np_tgt[all_el]]
-            free_np = np.zeros(n, dtype=np.int64)
-            slot_owner = np.repeat(np.arange(n, dtype=np.int64),
-                                   np.diff(A.np_indptr))
-            on = all_el[np_mask[all_el]]
-            np.add.at(free_np, slot_owner[on], 1)
-            mask = np_mask.tolist()
-            free_deg = free_np.tolist()
-        else:
-            mask = [False] * A.num_slots
-            free_deg = [0] * n
-            for i in live:
-                c = 0
-                for e in elig[i]:
-                    if free0[tgt[e]]:
-                        mask[e] = True
-                        c += 1
-                free_deg[i] = c
-        self.mask = mask
-        self.free_deg = free_deg
-
+        self.mate: List[Optional[int]] = (
+            [initial_mate.get(v) for v in order] if initial_mate
+            else [None] * A.n)
         self.phase = "announce"
-        self.proposals: List[Tuple[int, int]] = []  # (proposer, target) idx
-        self.accepts: List[Tuple[int, int]] = []    # (accepter, proposer) idx
-        self.newly: List[int] = []                  # matched this cycle
+        if allowed is None:
+            return None
+        tgt = A.tgt
+        return [[e for e in A.row(i)
+                 if edge_key(vid, order[tgt[e]]) in allowed]
+                for i, vid in enumerate(order)]
 
-    # -- helpers ---------------------------------------------------------
+    def _live_count(self, np: Any, elig: Optional[List[List[int]]]) -> int:
+        """Nodes with an eligible edge: those that
+        :meth:`IsraeliItaiNode.start` does not halt."""
+        if elig is None:
+            return int(np.count_nonzero(np.diff(self.arrays.np_indptr)))
+        return sum(1 for s in elig if s)
+
+    # -- pricing -----------------------------------------------------------
     def _price12(self, count: int, sender: int, receiver: int) -> int:
         """Price one round of uniform 12-bit tag messages."""
         if not count:
@@ -244,6 +227,59 @@ class IsraeliItaiKernel(RoundKernel):
         extra = self.charge(12, sender, receiver)
         self.record_traffic(count, 12 * count, 12)
         return extra
+
+    # -- protocol surface ------------------------------------------------
+    def step(self, round_number: int) -> int:
+        if self.np is not None:
+            return self._step_arrays()
+        return self._step_lists()
+
+    def unfinished(self) -> bool:
+        return len(self.live) > 0
+
+    def pending(self) -> bool:  # clock-driven: passive is False
+        return bool(len(self.proposals) or len(self.accepts)
+                    or len(self.newly))
+
+    def outputs(self) -> Dict[int, Any]:
+        order = self.arrays.order
+        mate = self.mate
+        return {order[i]: {"mate": mate[i]} for i in range(self.arrays.n)}
+
+    # -- the list path -----------------------------------------------------
+    def _setup_lists(self, elig: Optional[List[List[int]]]) -> None:
+        A = self.arrays
+        n = A.n
+        tgt = A.tgt
+        self.np = None
+        if elig is None:
+            elig = [list(A.row(i)) for i in range(n)]
+        self.elig = elig
+        self.elig_count = [len(s) for s in elig]
+        self.proposed = [False] * n
+
+        # start(): a node with no eligible edge halts at once
+        live = [i for i in range(n) if elig[i]]
+        self.live = live
+        self._announce_count = sum(self.elig_count)
+
+        # per-slot "I believe my target is free" mask and its per-node count
+        free0 = [m is None for m in self.mate]
+        mask = [False] * A.num_slots
+        free_deg = [0] * n
+        for i in live:
+            c = 0
+            for e in elig[i]:
+                if free0[tgt[e]]:
+                    mask[e] = True
+                    c += 1
+            free_deg[i] = c
+        self.mask = mask
+        self.free_deg = free_deg
+
+        self.proposals: List[Tuple[int, int]] = []  # (proposer, target) idx
+        self.accepts: List[Tuple[int, int]] = []    # (accepter, proposer) idx
+        self.newly: List[int] = []                  # matched this cycle
 
     def _free_targets(self, i: int) -> List[int]:
         """Node ``i``'s believed-free eligible targets (ascending indices)."""
@@ -260,17 +296,14 @@ class IsraeliItaiKernel(RoundKernel):
         target-index list yields the same pick as the node program's choice
         from the id list (both ascending, same length).
         """
-        order = self.arrays.order
         mate = self.mate
         free_deg = self.free_deg
-        finished = self.finished
         proposed = self.proposed
         new_live: List[int] = []
         proposals: List[Tuple[int, int]] = []
         for i in self.live:
             if mate[i] is not None or not free_deg[i]:
-                finished[i] = True  # matched, or no free eligible neighbor
-                continue
+                continue  # halts: matched, or no free eligible neighbor
             new_live.append(i)
             r = self.rng(i)
             if r.random() < 0.5:
@@ -282,8 +315,7 @@ class IsraeliItaiKernel(RoundKernel):
         self.live = new_live
         self.proposals = proposals
 
-    # -- the four phases -------------------------------------------------
-    def step(self, round_number: int) -> int:
+    def _step_lists(self) -> int:
         A = self.arrays
         order = A.order
         phase = self.phase
@@ -364,17 +396,181 @@ class IsraeliItaiKernel(RoundKernel):
         self.phase = "accept"
         return extra
 
-    # -- protocol surface ------------------------------------------------
-    def unfinished(self) -> bool:
-        return len(self.live) > 0
+    # -- the array path ----------------------------------------------------
+    # Per slot: ``elig_mask`` (None when every slot is eligible) and the
+    # believed-free ``mask``.  Per node: ``free_deg``, ``elig_count``,
+    # ``matched``, ``proposed``, the stream ``keys`` and draw counters
+    # ``ctr``; ``live`` holds the live node indices, ascending.  ``mate``
+    # stays a list of ids, so :meth:`outputs` is shared with the list path.
+    # Every pass touches only the live, proposing, accepting or newly
+    # matched nodes and their rows, never all n.
 
-    def pending(self) -> bool:  # clock-driven: passive is False
-        return bool(self.proposals or self.accepts or self.newly)
+    def _setup_arrays(self, np: Any, elig: Optional[List[List[int]]]) -> None:
+        A = self.arrays
+        n = A.n
+        indptr = A.np_indptr
+        self.np = np
+        if self.mate.count(None) == n:
+            matched = np.zeros(n, dtype=bool)
+        else:
+            matched = np.array([m is not None for m in self.mate], dtype=bool)
+        if elig is None:
+            self.elig_mask = None
+            elig_count = np.diff(indptr)
+            mask = ~matched[A.np_tgt]
+        else:
+            elig_mask = np.zeros(A.num_slots, dtype=bool)
+            elig_mask[[e for row in elig for e in row]] = True
+            self.elig_mask = elig_mask
+            elig_count = np.array([len(s) for s in elig], dtype=np.int64)
+            mask = elig_mask & ~matched[A.np_tgt]
+        # per-row masked counts as differences of one running sum
+        running = np.zeros(A.num_slots + 1, dtype=np.int64)
+        np.cumsum(mask, out=running[1:])
+        self.free_deg = running[indptr[1:]] - running[indptr[:-1]]
+        self.mask = mask
+        self.elig_count = elig_count
+        self.matched = matched
+        self.proposed = np.zeros(n, dtype=bool)
+        self.live = np.flatnonzero(elig_count)
+        self._announce_count = int(elig_count.sum())
+        self.keys = vec_node_seeds(self.net.node_stream_prefix(), A.order)
+        self.ctr = np.zeros(n, dtype=np.uint64)
+        none = np.zeros(0, dtype=np.int64)
+        self.proposals = self.prop_tgt = none   # proposer, target
+        self.accepts = self.acc_p = none        # accepter, proposer
+        self.newly = none                       # matched this cycle
 
-    def outputs(self) -> Dict[int, Any]:
-        order = self.arrays.order
-        mate = self.mate
-        return {order[i]: {"mate": mate[i]} for i in range(self.arrays.n)}
+    def _draws(self, idx: Any) -> Any:
+        """The next draw of each node in ``idx`` (distinct indices)."""
+        ctr = self.ctr[idx]
+        self.ctr[idx] = ctr + 1
+        return vec_draws(self.keys[idx], ctr)
+
+    def _row_slots(self, rows: Any) -> Tuple[Any, Any]:
+        """The CSR slots of the non-empty index array ``rows``, row after
+        row, and each row's end offset in that flat array."""
+        np = self.np
+        indptr = self.arrays.np_indptr
+        lo = indptr[rows]
+        lens = indptr[rows + 1] - lo
+        ends = np.cumsum(lens)
+        slots = (np.arange(ends[-1], dtype=np.int64)
+                 + np.repeat(lo - (ends - lens), lens))
+        return slots, ends
+
+    def _first_elig_id(self, i: int) -> int:
+        """The id of node ``i``'s first eligible neighbor (pricing)."""
+        A = self.arrays
+        e = A.indptr[i]
+        if self.elig_mask is not None:
+            e += int(self.np.argmax(self.elig_mask[e:A.indptr[i + 1]]))
+        return A.order[A.tgt[e]]
+
+    def _advance_arrays(self) -> None:
+        """:meth:`_advance` over arrays: halt, flip every survivor's coin
+        (one draw each), then draw each head's target index among its
+        believed-free slots (a second draw), in the node program's order.
+        """
+        np = self.np
+        live = self.live
+        live = live[~self.matched[live] & (self.free_deg[live] > 0)]
+        self.live = live
+        heads = self._draws(live) < np.uint64(_HALF)
+        self.proposed[live] = heads
+        src = live[heads]
+        dst = src
+        if len(src):
+            free = self.free_deg[src]
+            k = vec_below(self._draws(src), free).astype(np.int64)
+            # the k-th believed-free slot of each row: the first position
+            # where the running count of set mask bits reaches the count
+            # before the row plus k + 1
+            slots, ends = self._row_slots(src)
+            running = np.cumsum(self.mask[slots])
+            before = running[ends - 1] - free
+            pos = np.searchsorted(running, before + k + 1)
+            dst = self.arrays.np_tgt[slots[pos]]
+        self.proposals = src
+        self.prop_tgt = dst
+
+    def _step_arrays(self) -> int:
+        np = self.np
+        A = self.arrays
+        order = A.order
+        phase = self.phase
+
+        if phase == "announce":
+            live = self.live
+            if len(live):
+                i0 = int(live[0])
+                extra = self._price12(self._announce_count, order[i0],
+                                      self._first_elig_id(i0))
+            else:
+                extra = self._price12(0, 0, 0)
+            self._advance_arrays()
+            self.phase = "accept"
+            return extra
+
+        if phase == "accept":
+            src, dst = self.proposals, self.prop_tgt
+            if len(src):
+                extra = self._price12(len(src), order[int(src[0])],
+                                      order[int(dst[0])])
+            else:
+                extra = self._price12(0, 0, 0)
+            keep = ~self.proposed[dst]  # proposers ignore proposals
+            src, dst = src[keep], dst[keep]
+            # a stable sort by target keeps each target's proposers
+            # ascending, as the node program's sorted(proposals) does
+            by_target = np.argsort(dst, kind="stable")
+            src, dst = src[by_target], dst[by_target]
+            first = np.ones(len(dst), dtype=bool)
+            np.not_equal(dst[1:], dst[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            targets = dst[starts]
+            counts = np.diff(np.append(starts, len(dst)))
+            pick = vec_below(self._draws(targets), counts).astype(np.int64)
+            self.accepts = targets
+            self.acc_p = src[starts + pick]
+            self.phase = "notify"
+            return extra
+
+        if phase == "notify":
+            accepts, acc_p = self.accepts, self.acc_p
+            if len(accepts):
+                extra = self._price12(len(accepts), order[int(accepts[0])],
+                                      order[int(acc_p[0])])
+            else:
+                extra = self._price12(0, 0, 0)
+            mate = self.mate
+            for t, p in zip(accepts.tolist(), acc_p.tolist()):
+                mate[t] = order[p]
+                mate[p] = order[t]
+            newly = np.concatenate((accepts, acc_p))
+            self.matched[newly] = True
+            newly.sort()
+            self.newly = newly
+            self.phase = "prune"
+            return extra
+
+        # phase == "prune": deliver the "m" announcements
+        newly = self.newly
+        count = int(self.elig_count[newly].sum())
+        if count:
+            v0 = int(newly[0])
+            extra = self._price12(count, order[v0], self._first_elig_id(v0))
+        else:
+            extra = self._price12(0, 0, 0)
+        if len(newly):
+            slots, _ = self._row_slots(newly)
+            if self.elig_mask is not None:
+                slots = slots[self.elig_mask[slots]]
+            self.mask[A.np_rev[slots]] = False
+            np.subtract.at(self.free_deg, A.np_tgt[slots], 1)
+        self._advance_arrays()
+        self.phase = "accept"
+        return extra
 
     # -- sharded fast path -------------------------------------------------
     # Every worker replicates the full global state (mate/mask/free-degree
@@ -385,7 +581,8 @@ class IsraeliItaiKernel(RoundKernel):
     # prune rounds need no records at all.
 
     def shard_setup(self, shared: Dict[str, Any]) -> None:
-        self.setup(shared)  # no rng in setup: replication is exact
+        # the list path (no rng in setup: replication is exact)
+        self._setup_lists(self._start(shared))
 
     def _shard_advance(self) -> None:
         """:meth:`_advance` with owner-restricted coin flips.
@@ -399,13 +596,11 @@ class IsraeliItaiKernel(RoundKernel):
         owner, w = ctx.owner, ctx.w
         mate = self.mate
         free_deg = self.free_deg
-        finished = self.finished
         proposed = self.proposed
         new_live: List[int] = []
         proposals: List[Tuple[int, int]] = []
         for i in self.live:
             if mate[i] is not None or not free_deg[i]:
-                finished[i] = True
                 continue
             new_live.append(i)
             if owner[i] != w:
@@ -576,10 +771,10 @@ def israeli_itai(network: Network,
     ``network`` may also be a :class:`~repro.runtime.driver.Subnetwork`.
     """
     network = as_network(network)
-    graph = network.graph
     initial = initial if initial is not None else Matching()
+    # only the matched nodes: both readers default every other node to free
     shared: Dict[str, object] = {
-        "initial_mate": {v: initial.mate(v) for v in graph.nodes},
+        "initial_mate": {v: initial.mate(v) for v in initial.matched_nodes()},
     }
     if allowed_edges is not None:
         shared["allowed_edges"] = {edge_key(u, v) for u, v in allowed_edges}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Optional, Sequence, TypeVar, Union
+from typing import Any, Dict, Optional, Sequence, TypeVar, Union
 
 _MASK64 = (1 << 64) - 1
 #: splitmix64 increment / finalizer constants (Steele et al.); the same
@@ -101,6 +101,69 @@ def node_seed_from_prefix(prefix: int, node_id: int) -> int:
     return _splitmix64(prefix ^ (node_id & _MASK64))
 
 
+# -- the same formulas over numpy arrays --------------------------------
+# numpy is imported inside each helper, so importing this module (and
+# ``repro``) never needs it; only callers that already hold numpy arrays
+# reach these.
+
+def vec_splitmix64(x: Any) -> Any:
+    """:func:`_splitmix64` over a ``uint64`` array, bit for bit.
+
+    uint64 wraparound is the point of the arithmetic, so overflow
+    warnings are suppressed (for hosts running under ``-W error``).
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        x = x + np.uint64(_GAMMA)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX_A)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX_B)
+        return x ^ (x >> np.uint64(31))
+
+
+def vec_node_seeds(prefix: int, node_ids: Sequence[int]) -> Any:
+    """:func:`node_seed_from_prefix` for every id of ``node_ids``: a
+    ``uint64`` array of the run's stream keys, in ``node_ids`` order.
+
+    Ids enter as ``v & 2**64-1``, like the scalar form, so negative ids
+    and ids of 2**63 or more key the same streams there and here.
+    """
+    import numpy as np
+
+    ids = np.fromiter((v & _MASK64 for v in node_ids), dtype=np.uint64,
+                      count=len(node_ids))
+    return vec_splitmix64(np.uint64(prefix) ^ ids)
+
+
+def vec_draws(keys: Any, counters: Any) -> Any:
+    """Draw ``counters[i]`` of the stream keyed ``keys[i]``, for every i.
+
+    The raw 64-bit words :class:`SplitMixStream` turns into values: the
+    stream's ``random() < 0.5`` is ``draw < 2**63``, and its
+    ``below(n)`` is :func:`vec_below` of the draw.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        return vec_splitmix64(keys + counters * np.uint64(_GAMMA))
+
+
+def vec_below(x: Any, n: Any) -> Any:
+    """:meth:`SplitMixStream.below`, ``(x * n) >> 64``, over uint64 draws
+    ``x`` and bounds ``1 <= n < 2**32`` (a scalar or an array).
+
+    The product is split on 32-bit limbs of ``x``; for ``n < 2**32``
+    neither partial product nor their sum overflows 64 bits, so the
+    result is exact.
+    """
+    import numpy as np
+
+    n = np.asarray(n, dtype=np.uint64)
+    hi = (x >> np.uint64(32)) * n
+    lo = ((x & np.uint64(0xFFFFFFFF)) * n) >> np.uint64(32)
+    return (hi + lo) >> np.uint64(32)
+
+
 class SplitMixStream:
     """One node's private random stream: counter-based splitmix64.
 
@@ -175,12 +238,18 @@ class NodeStreams:
         self._salt = -1
         self._prefix = 0
 
-    def rng(self, run: int, node_id: int, salt: int = 0) -> SplitMixStream:
-        """Node ``node_id``'s stream in run ``run`` under ``salt``."""
+    def prefix(self, run: int, salt: int = 0) -> int:
+        """The chain prefix of run ``run`` under ``salt``: node ``v``'s
+        key is ``node_seed_from_prefix(prefix, v)``."""
         if run != self._run or salt != self._salt:
             self._prefix = node_stream_prefix(self.seed, run, salt)
             self._run, self._salt = run, salt
-        return SplitMixStream(node_seed_from_prefix(self._prefix, node_id))
+        return self._prefix
+
+    def rng(self, run: int, node_id: int, salt: int = 0) -> SplitMixStream:
+        """Node ``node_id``'s stream in run ``run`` under ``salt``."""
+        return SplitMixStream(node_seed_from_prefix(self.prefix(run, salt),
+                                                    node_id))
 
 
 def sample_max_uniform(rng: SplitMixStream, count: int, cap: int) -> int:

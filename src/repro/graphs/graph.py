@@ -234,16 +234,14 @@ class Graph:
                 indices.append(index[u])
                 weights.append(nbrs[u])
             indptr[i + 1] = len(indices)
-        # reverse-edge slots: slot e carries i -> j; rev[e] carries j -> i
-        rev = array("q", [0] * len(indices))
-        slot_of: List[Dict[int, int]] = [{} for _ in order]
-        for i in range(len(order)):
-            for e in range(indptr[i], indptr[i + 1]):
-                slot_of[indices[e]][i] = e
-        for i in range(len(order)):
-            row = slot_of[i]
-            for e in range(indptr[i], indptr[i + 1]):
-                rev[row[indices[e]]] = e
+        # reverse-edge slots: slot e carries i -> j; rev[e] carries j -> i.
+        # Rows are emitted in ascending source index, so the sources that
+        # reach row j arrive in row j's (sorted) order: one cursor per row
+        rev = array("q")
+        cursor = indptr.tolist()
+        for j in indices:
+            rev.append(cursor[j])
+            cursor[j] += 1
         csr = CSRAdjacency(order=order, index=index, indptr=indptr,
                            indices=indices, weights=weights, rev=rev)
         self._csr_cache = csr

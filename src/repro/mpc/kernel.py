@@ -9,8 +9,9 @@ whole-cluster array operations:
 
 * **priorities** — the deterministic splitmix64 chain of
   :func:`repro.dist.random_tools.spawn_seed` replayed bit-for-bit over
-  ``uint64`` arrays (:func:`vec_splitmix64`), so the vectorized sample
-  is the *same* sample the per-machine python loops pick;
+  ``uint64`` arrays (:func:`~repro.dist.random_tools.vec_splitmix64`,
+  re-exported here), so the vectorized sample is the *same* sample the
+  per-machine python loops pick;
 * **sparsify** — per-machine lowest-``q`` selection via one lexsort and
   a grouped rank, instead of a python sort per machine, and Δ_est as one
   ``bincount`` over the alive edges' endpoints;
@@ -40,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
-from ..dist.random_tools import _MASK64, _fold, _splitmix64
+from ..dist.random_tools import _MASK64, _fold, _splitmix64, vec_splitmix64
 from .cluster import MemoryExceeded, MPCCluster
 
 try:  # numpy is an optional accelerator, never a requirement
@@ -74,21 +75,6 @@ def unavailable_reason(graph: Any = None) -> Optional[str]:
                         f"{type(v).__name__}); vectorized splitmix64 "
                         f"priorities need uint64-packable ids")
     return None
-
-
-def vec_splitmix64(x: "Any") -> "Any":
-    """One splitmix64 finalization step over a ``uint64`` array.
-
-    Bit-identical to :func:`repro.dist.random_tools._splitmix64` (uint64
-    wraparound is the point of the arithmetic; overflow warnings are
-    suppressed for hosts running under ``-W error``).
-    """
-    np = _np
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
 
 
 class VectorLedger:

@@ -13,7 +13,9 @@ The second half pins the *selection* rules: every condition that must force
 the slow path actually does, and the fast path engages when nothing does.
 """
 
+import importlib
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -45,7 +47,12 @@ from repro.dist.bipartite_counting import (
 )
 from repro.dist.bipartite_mcm import bipartite_mcm
 from repro.dist.general_mcm import general_mcm
-from repro.dist.israeli_itai import IsraeliItaiNode, israeli_itai
+from repro.dist.israeli_itai import (
+    ARRAY_MIN_LIVE,
+    IsraeliItaiKernel,
+    IsraeliItaiNode,
+    israeli_itai,
+)
 from repro.dist.luby_mis import LubyMISNode, luby_mis
 from repro.dist.token_mis import run_token_selection
 from repro.dist.random_tools import (
@@ -218,11 +225,100 @@ MATRIX = [
 ]
 
 
+#: the module (``repro.dist.israeli_itai`` names the function)
+ISRAELI_ITAI = importlib.import_module("repro.dist.israeli_itai")
+
+#: the israeli_itai rows once more, with the array path's gate at 0: as
+#: is, their 48-node graphs sit below the gate and run the list path
+ARRAY_MATRIX = [
+    pytest.param(name, policy, seed,
+                 id=f"{name}-{policy.mode.value}-s{seed}-array")
+    for name in ("israeli_itai", "israeli_itai_constrained")
+    for policy in WORKLOADS[name][1]
+    for seed in (0, 3, 11)
+]
+
+
+def _array_runs(monkeypatch):
+    """The list of runs (their n) that take IsraeliItaiKernel's array
+    path from here on."""
+    runs = []
+    real = IsraeliItaiKernel._setup_arrays
+
+    def spy(self, *args):
+        runs.append(self.arrays.n)
+        return real(self, *args)
+
+    monkeypatch.setattr(IsraeliItaiKernel, "_setup_arrays", spy)
+    return runs
+
+
+def _gapped_graph(seed):
+    """400 nodes with ids negative, gapped and one at 2**63 + 11 (past
+    int64), isolated nodes among them, and more live nodes than the array
+    path's gate."""
+    base = gnp(400, 2.5 / 400, rng=seed)
+    ids = sorted(random.Random(seed).sample(range(-10 ** 9, 10 ** 9), 400))
+    ids[-1] = 2 ** 63 + 11
+    relabel = dict(zip(sorted(base.nodes), ids))
+    g = Graph()
+    g.add_nodes(ids)
+    for u, v, _ in base.edges():
+        g.add_edge(relabel[u], relabel[v])
+    g.add_edge(ids[0], ids[-1])  # the extreme ids draw too
+    return g
+
+
+def _run_israeli_gapped(execution, seed, constrained):
+    g = _gapped_graph(seed)
+    initial = allowed = None
+    if constrained:
+        edges = sorted((u, v) for u, v, _ in g.edges())
+        initial = Matching()
+        for u, v in edges[:40]:
+            if initial.is_free(u) and initial.is_free(v):
+                initial.add(u, v)
+        allowed = set(edges[::2]) | set(edges[:40])
+    net = Network(g, policy=CONGEST, seed=seed, execution=execution)
+    matching = israeli_itai(net, initial=initial, allowed_edges=allowed)
+    return set(matching.edges()), _metrics_tuple(net.metrics)
+
+
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("name,policy,seed", MATRIX)
     def test_kernel_matches_per_node_path(self, name, policy, seed):
         runner = WORKLOADS[name][0]
         assert runner("auto", policy, seed) == runner("node", policy, seed)
+
+    @pytest.mark.parametrize("name,policy,seed", ARRAY_MATRIX)
+    def test_array_path_matches_per_node_path(self, name, policy, seed,
+                                              monkeypatch):
+        pytest.importorskip("numpy")
+        runner = WORKLOADS[name][0]
+        golden = runner("node", policy, seed)
+        monkeypatch.setattr(ISRAELI_ITAI, "ARRAY_MIN_LIVE", 0)
+        runs = _array_runs(monkeypatch)
+        assert runner("auto", policy, seed) == golden
+        assert runs == [48]
+
+    @pytest.mark.parametrize("numpy_on", [True, False],
+                             ids=["numpy", "fallback"])
+    @pytest.mark.parametrize("constrained", [False, True],
+                             ids=["plain", "constrained"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_israeli_itai_above_the_gate(self, seed, constrained, numpy_on,
+                                         monkeypatch):
+        if numpy_on:
+            pytest.importorskip("numpy")
+        g = _gapped_graph(seed)
+        assert sum(1 for v in g.nodes if g.degree(v)) >= ARRAY_MIN_LIVE
+        assert min(g.nodes) < 0 and max(g.nodes) >= 2 ** 63
+        golden = _run_israeli_gapped("node", seed, constrained)
+        if not numpy_on:
+            monkeypatch.setattr(kernels, "_np", None)
+        runs = _array_runs(monkeypatch)
+        assert _run_israeli_gapped("auto", seed, constrained) == golden
+        assert runs == ([400] if numpy_on else [])
 
     @pytest.mark.parametrize("name,policy,seed", MATRIX)
     def test_pure_python_fallback_matches(self, name, policy, seed,
@@ -494,6 +590,16 @@ for execution in ("auto", "node"):
     tier = net.explain_execution(LubyMISNode).tier
     assert (tier == "kernel") == (execution == "auto"), tier
 assert results["auto"] == results["node"], results
+
+# above the array path's gate, israeli_itai keeps to its list path
+from repro.dist.israeli_itai import israeli_itai
+matchings = {{}}
+for execution in ("auto", "node"):
+    net = Network(gnp(400, 0.01, rng=3), policy=CONGEST, seed=3,
+                  execution=execution)
+    matchings[execution] = (sorted(israeli_itai(net).edges()),
+                            net.metrics.rounds, net.metrics.messages)
+assert matchings["auto"] == matchings["node"], matchings
 print("NUMPY_ABSENT_OK")
 """
 

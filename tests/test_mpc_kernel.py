@@ -15,7 +15,8 @@ Three concerns, mirroring the guarantees the tier makes:
   :class:`~repro.mpc.cluster.MPCMachine` charge/release sequences (peak
   monotone and sticky, resident never negative, the guard trips exactly
   when resident would pass the cap) and the bit-exactness of
-  :func:`~repro.mpc.kernel.vec_splitmix64` against the scalar chain.
+  :func:`~repro.dist.random_tools.vec_splitmix64` against the scalar
+  chain.
 """
 
 import random
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.dist.random_tools import _MASK64, spawn_seed
+from repro.dist.random_tools import _MASK64, spawn_seed, vec_splitmix64
 from repro.graphs import Graph, gnp, grid_graph, path_graph, random_bipartite
 from repro.graphs.generators import power_law_graph, star_graph
 from repro.mpc import (
@@ -37,7 +38,7 @@ from repro.mpc import (
     mpc_maximal,
 )
 from repro.mpc import kernel as mpc_kernel_mod
-from repro.mpc.kernel import _np, unavailable_reason, vec_splitmix64
+from repro.mpc.kernel import _np, unavailable_reason
 from repro.observe.events import EventBus
 
 numpy_only = pytest.mark.skipif(_np is None, reason="numpy not installed")

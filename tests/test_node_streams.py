@@ -14,11 +14,14 @@ import pytest
 from repro.congest import Network
 from repro.dist import israeli_itai
 from repro.dist.random_tools import (
-    _GAMMA,
-    _MASK64,
     NodeStreams,
     SplitMixStream,
+    node_seed_from_prefix,
+    node_stream_prefix,
     node_stream_seed,
+    vec_below,
+    vec_draws,
+    vec_node_seeds,
 )
 from repro.graphs import gnp
 
@@ -83,22 +86,9 @@ class TestNumpyFormula:
     KEYS = [node_stream_seed(7, 1, v) for v in range(1000)]
 
     @staticmethod
-    def _np_draws(np, counter):
-        from repro.mpc.kernel import vec_splitmix64
-
+    def _draws(np, counter):
         keys = np.asarray(TestNumpyFormula.KEYS, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            return vec_splitmix64(keys + np.uint64((counter * _GAMMA)
-                                                   & _MASK64))
-
-    @staticmethod
-    def _np_below(np, x, n):
-        # (x * n) >> 64 on uint64 limbs: for n < 2**32 neither partial
-        # product nor their sum overflows
-        n = np.uint64(n)
-        hi = (x >> np.uint64(32)) * n
-        lo = ((x & np.uint64(0xFFFFFFFF)) * n) >> np.uint64(32)
-        return (hi + lo) >> np.uint64(32)
+        return vec_draws(keys, np.full(len(keys), counter, dtype=np.uint64))
 
     def test_coin_matches_scalar(self):
         np = pytest.importorskip("numpy")
@@ -107,9 +97,12 @@ class TestNumpyFormula:
             s = SplitMixStream(key)
             scalar.append([s.random() for _ in range(4)])
         for counter in range(4):
-            x = self._np_draws(np, counter)
+            x = self._draws(np, counter)
             coins = (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
             assert coins.tolist() == [row[counter] for row in scalar]
+            # the kernels' coin test: random() < 0.5 iff the draw < 2**63
+            assert (x < np.uint64(2 ** 63)).tolist() == [
+                row[counter] < 0.5 for row in scalar]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 2 ** 32 - 1])
     def test_below_matches_scalar(self, n):
@@ -119,8 +112,26 @@ class TestNumpyFormula:
             s = SplitMixStream(key)
             scalar.append([s.below(n) for _ in range(4)])
         for counter in range(4):
-            got = self._np_below(np, self._np_draws(np, counter), n)
+            got = vec_below(self._draws(np, counter), n)
             assert got.tolist() == [row[counter] for row in scalar]
+
+    def test_below_takes_one_bound_per_draw(self):
+        np = pytest.importorskip("numpy")
+        bounds = [1 + (7 * i) % 1000 for i in range(len(self.KEYS))]
+        want = [SplitMixStream(key).below(b)
+                for key, b in zip(self.KEYS, bounds)]
+        got = vec_below(self._draws(np, 0), np.asarray(bounds))
+        assert got.tolist() == want
+
+    def test_node_seeds_match_scalar(self):
+        pytest.importorskip("numpy")
+        prefix = node_stream_prefix(7, 1)
+        # gapped, negative and >= 2**63 ids key the same streams as the
+        # scalar finalization, which masks them to 64 bits
+        ids = [0, 1, 999, -1, -2 ** 40, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5]
+        assert vec_node_seeds(prefix, ids).tolist() == [
+            node_seed_from_prefix(prefix, v) for v in ids]
+        assert vec_node_seeds(prefix, range(1000)).tolist() == self.KEYS
 
 
 class TestUniformity:
